@@ -4,6 +4,9 @@ Every flag can also be supplied through an environment variable with the
 ``SUBELL_`` prefix (e.g. ``SUBELL_VARIANT=ellipsoid``); explicit flags win.
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
+
+Exit code 2 reports a load, validation or usage error and 3 a numerical
+failure of the solver or the certificate pass, on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -14,18 +17,23 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import certificates as certs
+from .linalg import PositiveDefinitenessLost
 from .oracles import ProblemFormatError, load_problem
 from .solver import (
     VARIANT_ELLIPSOID,
     VARIANTS,
     Schedule,
+    SolverBreakdown,
     StrategyConfig,
     delta_from_target,
     reconstruct_state,
     run,
     sliding_gap,
 )
+from .support import DependentConstraints, SlaterViolation
 
 TRACE_COLUMNS = ("k", "variant", "productive", "f_value", "sliding_gap",
                  "cert_gap", "R_k", "avrad", "Gamma_k", "wall_time_us")
@@ -312,6 +320,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (PositiveDefinitenessLost, SolverBreakdown, SlaterViolation,
+            DependentConstraints, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ProblemFormatError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -202,31 +202,6 @@ class BallProduct:
 # first-order oracles
 
 
-def subgradient_max_affine(x: np.ndarray, rows: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Subgradient of ``max_i (<a_i, x> + b_i)``: the first maximizing row.
-
-    The smallest-index tie-break makes runs deterministic; any active row
-    would be a valid subgradient.
-    """
-    if len(rows) == 0:
-        raise ValueError("max-of-affine needs at least one row")
-    vals = [float(a @ x) + b for a, b in rows]
-    j = int(np.argmax(vals))
-    return np.array(rows[j][0], dtype=float)
-
-
-def saddle_oracle(x: np.ndarray, M: np.ndarray, dim_u: int) -> np.ndarray:
-    """Saddle-point field of the bilinear payoff ``f(u, v) = u.Mv``:
-    the stacked vector ``(f_u, -f_v) = (Mv, -M^T u)``."""
-    u, v = x[:dim_u], x[dim_u:]
-    return np.concatenate([M @ v, -(M.T @ u)])
-
-
-def vi_oracle(x: np.ndarray, M: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Monotone affine operator ``V(x) = Mx + q``."""
-    return M @ x + q
-
-
 @dataclass(frozen=True)
 class MaxAffine:
     """Pointwise maximum of affine functions, f(x) = max_i(<a_i, x> + b_i)."""
@@ -238,6 +213,7 @@ class MaxAffine:
         return float(np.max(self.A @ x + self.offsets))
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
+        """First maximizing row: the smallest-index tie-break keeps runs deterministic."""
         j = int(np.argmax(self.A @ x + self.offsets))
         return self.A[j].copy()
 
@@ -270,7 +246,9 @@ class BilinearSaddle:
         return self.M.shape[0]
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        return saddle_oracle(x, self.M, self.dim_u)
+        """The stacked vector ``(f_u, -f_v) = (Mv, -M^T u)``."""
+        u, v = x[: self.dim_u], x[self.dim_u:]
+        return np.concatenate([self.M @ v, -(self.M.T @ u)])
 
 
 @dataclass(frozen=True)
@@ -281,7 +259,7 @@ class MonotoneAffineField:
     q: np.ndarray
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        return vi_oracle(x, self.M, self.q)
+        return self.M @ x + self.q
 
 
 KIND_MAX_AFFINE = "max-of-affine"
@@ -354,16 +332,24 @@ def composed_oracle(problem: Problem, x: np.ndarray) -> OracleResponse:
 
 
 def _vec(obj, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(obj, dtype=float)
-    if v.shape != (dim,):
-        raise ProblemFormatError(f"{name} must be a vector of length {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ProblemFormatError(f"{name} contains non-finite entries")
-    return v
+    return _array(obj, (dim,), name)
 
 
-def _mat(obj, shape: tuple[int, int], name: str) -> np.ndarray:
-    m = np.asarray(obj, dtype=float)
+def _num(obj, name: str) -> float:
+    return float(_array(obj, (), name))
+
+
+def _obj(obj, name: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ProblemFormatError(f"{name} must be a JSON object")
+    return obj
+
+
+def _array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    try:
+        m = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{name} must be numeric") from exc
     if m.shape != shape:
         raise ProblemFormatError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -380,19 +366,17 @@ def _parse_set(d: dict, kind: str, dim: int):
         if set_type != "ball-product":
             raise ProblemFormatError("saddle problems require a 'ball-product' set")
         centers = d["centers"]
-        radii = d["radii"]
-        if len(centers) != 2 or len(radii) != 2:
-            raise ProblemFormatError("ball-product needs two centers and two radii")
-        cu = np.asarray(centers[0], dtype=float)
-        cv = np.asarray(centers[1], dtype=float)
-        if cu.ndim != 1 or cv.ndim != 1 or cu.size + cv.size != dim:
+        if not isinstance(centers, list) or len(centers) != 2:
+            raise ProblemFormatError("ball-product needs a list of two centers")
+        cu, cv = (_array(c, (np.size(c),), "set.centers") for c in centers)
+        if cu.size + cv.size != dim:
             raise ProblemFormatError("ball-product centers must split the full dimension")
-        ru, rv = float(radii[0]), float(radii[1])
+        ru, rv = _array(d["radii"], (2,), "set.radii")
         if ru <= 0 or rv <= 0:
             raise ProblemFormatError("ball-product radii must be positive")
         return BallProduct(cu, ru, cv, rv)
     if set_type == "ball":
-        radius = float(d["radius"])
+        radius = _num(d["radius"], "set.radius")
         if radius <= 0:
             raise ProblemFormatError("ball radius must be positive")
         return Ball(_vec(d["center"], dim, "set.center"), radius)
@@ -408,22 +392,23 @@ def _parse_set(d: dict, kind: str, dim: int):
 def _parse_objective(d: dict, kind: str, dim: int, feasible):
     if kind == KIND_MAX_AFFINE:
         rows = d.get("rows")
-        if not rows:
+        if not isinstance(rows, list) or not rows:
             raise ProblemFormatError("max-of-affine needs a nonempty 'rows' list")
+        rows = [_obj(r, "objective row") for r in rows]
         A = np.vstack([_vec(r["a"], dim, "row.a") for r in rows])
-        offs = np.array([float(r["b"]) for r in rows])
+        offs = np.array([_num(r["b"], "row.b") for r in rows])
         return MaxAffine(A, offs)
     if kind == KIND_QUADRATIC:
-        P = _mat(d["P"], (dim, dim), "P")
+        P = _array(d["P"], (dim, dim), "P")
         P = 0.5 * (P + P.T)
         if float(np.linalg.eigvalsh(P)[0]) < -MONOTONE_TOL:
             raise ProblemFormatError("quadratic objective must be convex (P >= 0)")
         return ConvexQuadratic(P, _vec(d["q"], dim, "q"))
     if kind == KIND_SADDLE:
         nu = feasible.dim_u
-        return BilinearSaddle(_mat(d["M"], (nu, dim - nu), "M"))
+        return BilinearSaddle(_array(d["M"], (nu, dim - nu), "M"))
     if kind == KIND_VI:
-        M = _mat(d["M"], (dim, dim), "M")
+        M = _array(d["M"], (dim, dim), "M")
         if float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) < -MONOTONE_TOL:
             raise ProblemFormatError("operator is not monotone (M + M^T has a negative eigenvalue)")
         return MonotoneAffineField(M, _vec(d["q"], dim, "q"))
@@ -448,11 +433,15 @@ def _default_variation_bound(kind: str, objective, feasible, x0: np.ndarray, R: 
 def problem_from_dict(d: dict) -> Problem:
     """Build and validate a Problem from its JSON-compatible description."""
     try:
-        kind = d["kind"]
-        dim = int(d["dim"])
-        R = float(d["R"])
+        return _problem_from_dict(d)
     except KeyError as exc:
         raise ProblemFormatError(f"missing required key {exc}") from exc
+
+
+def _problem_from_dict(d: dict) -> Problem:
+    kind = d["kind"]
+    dim = int(_num(d["dim"], "dim"))
+    R = _num(d["R"], "R")
     if kind not in KINDS:
         raise ProblemFormatError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if dim < 1:
@@ -460,8 +449,9 @@ def problem_from_dict(d: dict) -> Problem:
     if R <= 0:
         raise ProblemFormatError("R must be positive")
     x0 = _vec(d["x0"], dim, "x0")
-    feasible = _parse_set(d.get("set", {}), kind, dim)
-    objective = _parse_objective(d.get("objective", {}), kind, dim, feasible)
+    feasible = _parse_set(_obj(d.get("set", {}), "set"), kind, dim)
+    objective = _parse_objective(_obj(d.get("objective", {}), "objective"),
+                                 kind, dim, feasible)
 
     # containment Q <= B(x0, R) is required for the composed oracle
     reach = feasible.max_distance_from(x0)
@@ -471,20 +461,20 @@ def problem_from_dict(d: dict) -> Problem:
             f"max distance {reach:g} > R = {R:g}"
         )
 
-    r = float(d["r"]) if "r" in d else feasible.inner_radius
+    r = _num(d["r"], "r") if "r" in d else feasible.inner_radius
     if r <= 0 or r > feasible.inner_radius + 1e-9:
         raise ProblemFormatError(
             f"inner radius {r:g} is not realized by a ball inside the feasible set "
             f"(max {feasible.inner_radius:g})"
         )
-    V = float(d["V"]) if "V" in d else _default_variation_bound(kind, objective, feasible, x0, R)
+    V = _num(d["V"], "V") if "V" in d else _default_variation_bound(kind, objective, feasible, x0, R)
     if V < 0:
         raise ProblemFormatError("V must be nonnegative")
 
     xstar = _vec(d["xstar"], dim, "xstar") if d.get("xstar") is not None else None
     if xstar is not None and not feasible.contains(xstar):
         raise ProblemFormatError("xstar lies outside the feasible set")
-    fstar = float(d["fstar"]) if d.get("fstar") is not None else None
+    fstar = _num(d["fstar"], "fstar") if d.get("fstar") is not None else None
 
     return Problem(
         kind=kind, dim=dim, x0=x0, R=R, feasible=feasible, objective=objective,

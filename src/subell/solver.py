@@ -376,17 +376,14 @@ class RunResult:
 
 
 def run(problem: Problem, config: StrategyConfig, max_iter: int,
-        collect_trace: bool = True, keep_operators: bool = True,
-        debug: bool = False) -> RunResult:
+        collect_trace: bool = True, keep_operators: bool = True) -> RunResult:
     """Drive the scheme against the composed oracle of a problem.
 
     Stops at ``max_iter``, at the gap test ``U_k <= delta_term |g_k|``, or
     when the oracle reports a zero vector (the test point is then an exact
     solution; the trailing history record carries it with unit certificate
     weight semantics).  ``keep_operators=False`` switches the history to the
-    storage-lean O(k n) format.  ``debug=True`` recomputes the accumulated
-    weight mass from the history after every step and aborts on drift
-    beyond 1e-9 relative.
+    storage-lean O(k n) format.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -420,12 +417,6 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
         if terminal:
             termination = "gap-threshold"
             break
-        if debug:
-            replayed = sum(r.a * float(np.linalg.norm(r.g)) for r in records)
-            if abs(new_state.Gamma - replayed) > 1e-9 * max(1.0, replayed):
-                raise SolverBreakdown(
-                    f"weight-mass drift at k={new_state.k}: state "
-                    f"{new_state.Gamma!r} vs history {replayed!r}")
         state = new_state
     return RunResult(rows=rows, records=records, state=state, termination=termination)
 

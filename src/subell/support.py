@@ -2,24 +2,31 @@
 
 Everything here is about the set ``{x : |x|_{H^-1} <= 1, <a_i, x> <= b_i}``:
 its support function in a direction ``s`` (``support_value_xi``), the optimal
-Lagrange multiplier of a single linear cut (``tau``), the unconstrained
-multidimensional minimizer behind both (``minimizer_u``), and the
-four-step routine solving the two-cut dual problem
+multiplier of a single cut (``tau``), the unconstrained minimizer behind
+both (``minimizer_u``), and the exact solution of the two-cut dual problem
 
     min_{mu >= 0}  |s - mu1 a1 - mu2 a2|*_H  +  mu1 b1 + mu2 b2
 
-exactly (``dual_multipliers``).  These are the only subproblems the solver
-and the certificate backward pass ever need.
+(``dual_multipliers``).  These are the only subproblems the solver and the
+certificate backward pass need.  The public functions form the Gram scalars
+``s.Hs, a_i.Hs, a_i.Ha_j`` and call one private Gram-form core.
 
-All sign comparisons use an absolute tolerance ``SLATER_TOL``; ties resolve
-toward the branch returning the sparser multiplier pair, which is harmless
-because either branch is optimal at exact equality.  Two parallel cuts
-describing the same halfspace never reach the two-multiplier branch: the
-redundancy checks collapse them onto the single-cut path.
+The dual is positively homogeneous in ``s``, in each cut and in ``(H, b)``
+(H quadratically), so every tolerance is relative to the dual norms of the
+vectors it compares: a sign test of ``a`` against ``s`` allows
+``SLATER_TOL |a|* |s|*``, an offset or redundancy test on cut ``a`` allows
+``SLATER_TOL |a|*``, two cuts are dependent when
+``det(A^T H A) <= 1e-14 (a1.Ha1)(a2.Ha2)``, round-off clamps of square roots
+scale with the largest Gram term, and the quadrant check with ``max|mu_i|``.
+Power-of-two scalings thus keep every branch and scale the multipliers
+exactly.  Ties resolve toward the sparser multiplier pair (either branch is
+optimal at exact equality); two parallel cuts never reach the two-multiplier
+branch, because the redundancy checks collapse them onto one cut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,68 +55,70 @@ class HalfspaceCut:
     offset: float
 
     def __post_init__(self):
-        if not np.any(self.normal) and self.offset < -SLATER_TOL:
-            raise SlaterViolation(
-                f"zero-normal cut with negative offset {self.offset:g} is empty"
-            )
+        if not np.any(self.normal) and self.offset < 0.0:
+            raise SlaterViolation(f"zero-normal cut with negative offset {self.offset:g}")
+
+
+def _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, float]:
+    """Minimizer over R^2 of ``|s - u1 a1 - u2 a2|*_H + u1 b1 + u2 b2`` from
+    the Gram scalars.  With ``k = a1.Ha2 / a1.Ha1``, the normals a1 and
+    ``a2 - k a1`` are H-orthogonal, and for orthogonal normals
+
+        v_i = (a_i.Hs - r b_i) / a_i.Ha_i,
+        r = sqrt( (s.Hs - sum (a_i.Hs)^2 / a_i.Ha_i) / (1 - sum b_i^2 / a_i.Ha_i) ),
+
+    ``r`` being the residual norm at the optimum.  A unit second normal
+    H-orthogonal to s and a1, with zero offset, leaves the single-cut case.
+    """
+    if a1Ha1 <= 0.0:
+        raise DependentConstraints("zero constraint normal")
+    k = a1Ha2 / a1Ha1
+    schur = a2Ha2 - k * a1Ha2  # det(A^T H A) / a1.Ha1
+    if schur <= 1e-14 * a2Ha2:
+        raise DependentConstraints("A^T H A is numerically singular")
+    p2, c2 = a2Hs - k * a1Hs, b2 - k * b1
+    num = sHs - a1Hs * a1Hs / a1Ha1 - p2 * p2 / schur
+    den = 1.0 - b1 * b1 / a1Ha1 - c2 * c2 / schur
+    if den <= SLATER_TOL:
+        raise SlaterViolation(f"b.(A^T H A)^-1 b = {1.0 - den:g}: no interior point")
+    r = nonneg_sqrt(num, sHs, "in the stationary point") / math.sqrt(den)
+    u2 = (p2 - r * c2) / schur
+    return (a1Hs - r * b1) / a1Ha1 - k * u2, u2
 
 
 def minimizer_u(H: np.ndarray, s: np.ndarray, A: list[np.ndarray], b: np.ndarray) -> np.ndarray:
     """Unique minimizer of ``u -> |s - A u|*_H + <u, b>`` over R^m.
 
-    ``A`` is given as a list of m linearly independent vectors.  Requires the
-    Slater-type condition ``b.(A^T H A)^-1 b < 1``.  The closed form is
-
-        u = (A^T H A)^-1 (A^T H s - r b),
-        r = sqrt( (s.Hs - (A^T H s).(A^T H A)^-1 (A^T H s)) /
-                  (1 - b.(A^T H A)^-1 b) ),
-
-    where ``r`` equals the residual norm ``|s - A u|*_H`` at the optimum;
-    its radicand is clamped at zero when within round-off of zero.
+    ``A`` is a list of m = 1 or 2 linearly independent vectors, and the
+    Slater-type condition ``b.(A^T H A)^-1 b < 1`` must hold.  The closed
+    form is ``u = (A^T H A)^-1 (A^T H s - r b)`` with ``r = |s - A u|*_H``.
     """
+    if len(A) not in (1, 2):
+        raise ValueError(f"minimizer_u handles one or two constraints, got {len(A)}")
     Amat = np.column_stack(A)
-    b = np.asarray(b, dtype=float)
     HA = H @ Amat
-    M = Amat.T @ HA  # A^T H A, m x m
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise DependentConstraints("A^T H A is singular") from exc
-    cond_scale = float(np.abs(M).max())
-    if cond_scale > 0 and abs(np.linalg.det(M)) < 1e-14 * cond_scale ** len(A):
-        raise DependentConstraints("A^T H A is numerically singular")
-    AtHs = HA.T @ s
-    bMb = float(b @ (Minv @ b))
-    if bMb >= 1.0 - SLATER_TOL:
-        raise SlaterViolation(f"b.(A^T H A)^-1 b = {bMb:g} >= 1")
+    M, p, b = Amat.T @ HA, HA.T @ s, np.asarray(b, dtype=float)
     sHs = float(s @ (H @ s))
-    num = sHs - float(AtHs @ (Minv @ AtHs))
-    r = nonneg_sqrt(num, sHs, "in minimizer_u") / np.sqrt(1.0 - bMb)
-    return Minv @ (AtHs - r * b)
+    if len(A) == 1:
+        return np.array(_stationary(sHs, p[0], 0.0, M[0, 0], 1.0, 0.0, b[0], 0.0)[:1])
+    return np.array(_stationary(sHs, p[0], p[1], M[0, 0], M[1, 1], M[0, 1], b[0], b[1]))
 
 
 def _tau_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
     """Single-cut multiplier from the Gram values of (s, a) under H."""
-    if aHa <= 0.0:
-        # vacuous cut (zero normal); only feasible with beta >= 0
-        if beta < -SLATER_TOL:
+    if aHa <= 0.0:  # zero normal: vacuous cut, feasible only with beta >= 0
+        if beta < 0.0:
             raise SlaterViolation(f"zero-normal cut with offset {beta:g}")
         return 0.0
     nrm_a = nonneg_sqrt(aHa, aHa)
-    if beta < -nrm_a - SLATER_TOL * max(1.0, nrm_a):
+    if beta < -nrm_a - SLATER_TOL * nrm_a:
         raise SlaterViolation(f"offset {beta:g} < -|a|* = {-nrm_a:g}")
     if sHs <= 0.0:
         return 0.0  # s = 0: objective is nondecreasing in tau
     nrm_s = nonneg_sqrt(sHs, sHs)
-    if aHs <= beta * nrm_s + SLATER_TOL * max(1.0, nrm_s):
+    if aHs <= beta * nrm_s + SLATER_TOL * nrm_a * nrm_s:
         return 0.0
-    # interior multiplier: one-dimensional instance of minimizer_u
-    num = sHs - aHs * aHs / aHa
-    den = 1.0 - beta * beta / aHa
-    if den <= SLATER_TOL:
-        raise SlaterViolation("cut supports the ellipsoid with no interior")
-    r = nonneg_sqrt(num, sHs, "in tau") / np.sqrt(den)
-    return (aHs - r * beta) / aHa
+    return _stationary(sHs, aHs, 0.0, aHa, 1.0, 0.0, beta, 0.0)[0]
 
 
 def _xi_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
@@ -117,6 +126,40 @@ def _xi_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
     t = _tau_gram(sHs, aHs, aHa, beta)
     rad = sHs - 2.0 * t * aHs + t * t * aHa
     return nonneg_sqrt(rad, max(sHs, t * t * aHa), "in xi") + t * beta
+
+
+def _two_cut_gram(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, float]:
+    """Optimal multiplier pair of the two-cut dual from its six Gram scalars
+    and the two offsets."""
+    tau1 = _tau_gram(sHs, a1Hs, a1Ha1, b1)
+    tau2 = _tau_gram(sHs, a2Hs, a2Ha2, b2)
+    nrm_a1 = nonneg_sqrt(a1Ha1, a1Ha1)
+    nrm_a2 = nonneg_sqrt(a2Ha2, a2Ha2)
+
+    # ball-within-cut redundancy: the other constraint can be dropped outright
+    xi1 = _xi_gram(a2Ha2, a1Ha2, a1Ha1, b1)  # max <a2, x> subject to cut1
+    if xi1 <= b2 + SLATER_TOL * nrm_a2:
+        return tau1, 0.0
+    xi2 = _xi_gram(a1Ha1, a1Ha2, a2Ha2, b2)  # max <a1, x> subject to cut2
+    if xi2 <= b1 + SLATER_TOL * nrm_a1:
+        return 0.0, tau2
+
+    # single-cut optimizer feasible for the other cut
+    r1 = sHs - 2.0 * tau1 * a1Hs + tau1 * tau1 * a1Ha1
+    n1 = nonneg_sqrt(r1, max(sHs, tau1 * tau1 * a1Ha1))  # |s - tau1 a1|*
+    if a2Hs - tau1 * a1Ha2 <= b2 * n1 + SLATER_TOL * nrm_a2 * n1:
+        return tau1, 0.0
+    r2 = sHs - 2.0 * tau2 * a2Hs + tau2 * tau2 * a2Ha2
+    n2 = nonneg_sqrt(r2, max(sHs, tau2 * tau2 * a2Ha2))  # |s - tau2 a2|*
+    if a1Hs - tau2 * a1Ha2 <= b1 * n2 + SLATER_TOL * nrm_a1 * n2:
+        return 0.0, tau2
+
+    # both constraints active
+    mu1, mu2 = _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2)
+    if min(mu1, mu2) < -1e-9 * max(abs(mu1), abs(mu2)):
+        raise RuntimeError(f"two-cut stationary point ({mu1:g}, {mu2:g}) left the "
+                           "nonnegative quadrant; inconsistent geometry")
+    return max(mu1, 0.0), max(mu2, 0.0)
 
 
 def tau(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
@@ -153,47 +196,8 @@ def dual_multipliers(
     already satisfies the remaining constraint, and finally the genuine
     two-constraint stationary point.
     """
-    a1, b1 = cut1.normal, cut1.offset
-    a2, b2 = cut2.normal, cut2.offset
+    a1, a2 = cut1.normal, cut2.normal
     Hs, Ha1, Ha2 = H @ s, H @ a1, H @ a2
-    sHs = float(s @ Hs)
-    a1Hs, a2Hs = float(a1 @ Hs), float(a2 @ Hs)
-    a1Ha1, a2Ha2 = float(a1 @ Ha1), float(a2 @ Ha2)
-    a1Ha2 = float(a1 @ Ha2)
-
-    tau1 = _tau_gram(sHs, a1Hs, a1Ha1, b1)
-    tau2 = _tau_gram(sHs, a2Hs, a2Ha2, b2)
-
-    # ball-within-cut redundancy: the other constraint can be dropped outright
-    xi1 = _xi_gram(a2Ha2, a1Ha2, a1Ha1, b1)  # max <a2, x> subject to cut1
-    if xi1 <= b2 + SLATER_TOL:
-        return tau1, 0.0
-    xi2 = _xi_gram(a1Ha1, a1Ha2, a2Ha2, b2)  # max <a1, x> subject to cut2
-    if xi2 <= b1 + SLATER_TOL:
-        return 0.0, tau2
-
-    # single-cut optimizer feasible for the other cut
-    r1 = sHs - 2.0 * tau1 * a1Hs + tau1 * tau1 * a1Ha1
-    n1 = nonneg_sqrt(r1, max(sHs, 1.0))
-    if a2Hs - tau1 * a1Ha2 <= b2 * n1 + SLATER_TOL * max(1.0, n1):
-        return tau1, 0.0
-    r2 = sHs - 2.0 * tau2 * a2Hs + tau2 * tau2 * a2Ha2
-    n2 = nonneg_sqrt(r2, max(sHs, 1.0))
-    if a1Hs - tau2 * a1Ha2 <= b1 * n2 + SLATER_TOL * max(1.0, n2):
-        return 0.0, tau2
-
-    # both constraints active
-    try:
-        u = minimizer_u(H, s, [a1, a2], np.array([b1, b2]))
-    except DependentConstraints as exc:
-        raise RuntimeError(
-            "two-cut stationary system is singular; this branch should be "
-            "unreachable for cuts with a common interior point"
-        ) from exc
-    mu1, mu2 = float(u[0]), float(u[1])
-    if min(mu1, mu2) < -1e-9 * max(1.0, abs(mu1), abs(mu2)):
-        raise RuntimeError(
-            f"two-cut stationary point ({mu1:g}, {mu2:g}) left the "
-            "nonnegative quadrant; inconsistent geometry"
-        )
-    return max(mu1, 0.0), max(mu2, 0.0)
+    return _two_cut_gram(float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs),
+                         float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2),
+                         cut1.offset, cut2.offset)

@@ -10,6 +10,7 @@ from subell.solver import (
     Schedule,
     StrategyConfig,
     avg_radius,
+    reconstruct_state,
     run,
     sliding_gap,
 )
@@ -370,3 +371,32 @@ class TestSemicertificateValidation:
         _, res = _run(prob, iters=3)
         with pytest.raises(ValueError, match="weights"):
             certs.Semicertificate.from_weights(np.ones(2), res.records)
+
+
+class TestScaleFreeTwoCutRegressions:
+    """Cases where absolute tolerances in the two-cut kernel broke a stated
+    claim although the metric was healthy: a well-conditioned pair of cuts
+    with very different H-norms, and D-scaled Gram values far below 1e-12."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: saddle_problem(np.random.default_rng(0), 1, 1),
+        lambda: vi_problem(np.random.default_rng(0), 2),
+    ], ids=["saddle-1x1", "vi-2"])
+    def test_preliminary_certificate_on_late_prefixes(self, make):
+        prob = make()
+        _, res = _run(prob, variant="ellipsoid-cert", iters=200)
+        for k in range(150, 201, 10):
+            cert = certs.certify_from_preliminary(res.records[:k])
+            got = certs.gap(cert, res.records[:k], prob.x0, prob.R)
+            state_k = reconstruct_state(prob, res.records, k, res.state)
+            assert got <= sliding_gap(state_k) + 1e-9, k
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_min_width_gap_within_bound(self, seed):
+        prob = max_affine_ball(np.random.default_rng(seed), 2)
+        _, res = _run(prob, variant="ellipsoid", iters=140)
+        report = certs.certify_standard_ellipsoid(
+            res.records, res.state, prob.feasible.diameter, prob.inner_radius)
+        got = certs.gap(report.certificate, res.records, prob.x0, prob.R)
+        assert report.gap_bound is not None
+        assert got <= report.gap_bound + 1e-9

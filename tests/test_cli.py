@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+import subell.cli
 from subell.cli import main
-from subell.oracles import save_problem
+from subell.linalg import PositiveDefinitenessLost
+from subell.oracles import problem_to_dict, save_problem
+from subell.solver import SolverBreakdown
+from subell.support import DependentConstraints, SlaterViolation
 
-from helpers import max_affine_ball
+from helpers import max_affine_ball, saddle_problem
 
 
 @pytest.fixture()
@@ -168,3 +172,74 @@ def test_unknown_variant_in_compare_fails_cleanly(problem_path, capsys):
                "--iters", "5"])
     assert rc == 2
     assert "unknown variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    PositiveDefinitenessLost("negative radicand"),
+    SolverBreakdown("localizer radius went negative"),
+    SlaterViolation("cut leaves no interior"),
+    DependentConstraints("A^T H A is numerically singular"),
+    np.linalg.LinAlgError("Matrix is not positive definite"),
+], ids=lambda e: type(e).__name__)
+def test_numerical_failure_exits_3(problem_path, monkeypatch, capsys, exc):
+    def failing_run(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(subell.cli, "run", failing_run)
+    for command in ("solve", "certify", "compare"):
+        assert main([command, "--problem", problem_path, "--iters", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert str(exc) in err and "Traceback" not in err
+
+
+DELETE = object()
+NAN, INF = float("nan"), float("inf")
+MUTATIONS = [
+    ("R-nan", "max", ["R"], NAN),
+    ("r-inf", "max", ["r"], INF),
+    ("V-nan", "max", ["V"], NAN),
+    ("fstar-nan", "max", ["fstar"], NAN),
+    ("radius-nan", "max", ["set", "radius"], NAN),
+    ("radius-missing", "max", ["set", "radius"], DELETE),
+    ("row-b-nan", "max", ["objective", "rows", 0, "b"], NAN),
+    ("row-a-missing", "max", ["objective", "rows", 0, "a"], DELETE),
+    ("row-not-object", "max", ["objective", "rows", 0], [1.0, 2.0]),
+    ("rows-number", "max", ["objective", "rows"], 3),
+    ("x0-missing", "max", ["x0"], DELETE),
+    ("objective-list", "max", ["objective"], [1.0]),
+    ("set-list", "max", ["set"], [0.5]),
+    ("dim-null", "max", ["dim"], None),
+    ("radii-nan", "saddle", ["set", "radii", 1], NAN),
+    ("radii-number", "saddle", ["set", "radii"], 1.0),
+    ("centers-nan", "saddle", ["set", "centers", 0, 0], NAN),
+    ("centers-missing", "saddle", ["set", "centers"], DELETE),
+]
+
+
+@pytest.mark.parametrize("kind,path,value",
+                         [pytest.param(*m[1:], id=m[0]) for m in MUTATIONS])
+def test_malformed_problem_file_exits_2(tmp_path, capsys, kind, path, value):
+    rng = np.random.default_rng(3)
+    prob = max_affine_ball(rng, 2) if kind == "max" else saddle_problem(rng, 1, 1)
+    d = problem_to_dict(prob)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["solve", "--problem", str(bad), "--iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_saddle_preliminary_certificates_exit_0(tmp_path):
+    path = tmp_path / "saddle.json"
+    save_problem(saddle_problem(np.random.default_rng(0), 1, 1), path)
+    assert main(["certify", "--problem", str(path), "--variant", "ellipsoid-cert",
+                 "--iters", "200", "--out", str(tmp_path / "s.csv")]) == 0
+

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from subell.oracles import (
+    BilinearSaddle,
+    MaxAffine,
+    MonotoneAffineField,
     ProblemFormatError,
     composed_oracle,
     load_problem,
@@ -12,9 +15,6 @@ from subell.oracles import (
     save_problem,
     separation_ball,
     separation_box,
-    subgradient_max_affine,
-    saddle_oracle,
-    vi_oracle,
 )
 
 from helpers import max_affine_ball, max_affine_box, saddle_problem, vi_problem
@@ -84,28 +84,24 @@ class TestSeparationBox:
 class TestMaxAffineSubgradient:
     def test_single_row(self):
         a = np.array([2.0, -1.0])
-        rows = [(a, 0.5)]
+        f = MaxAffine(a[None, :], np.array([0.5]))
         for x in (np.zeros(2), np.ones(2), np.array([-3.0, 7.0])):
-            assert np.array_equal(subgradient_max_affine(x, rows), a)
+            assert np.array_equal(f.subgrad(x), a)
 
     def test_symmetric_tie_takes_first(self):
-        rows = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), 0.0)]
-        g = subgradient_max_affine(np.array([0.0, 0.3]), rows)
+        f = MaxAffine(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
+        g = f.subgrad(np.array([0.0, 0.3]))
         assert np.array_equal(g, np.array([1.0, 0.0]))
 
     def test_subgradient_inequality_sampled(self):
         rng = np.random.default_rng(3)
-        rows = [(rng.standard_normal(3), float(rng.standard_normal())) for _ in range(6)]
-
-        def f(x):
-            return max(float(a @ x) + b for a, b in rows)
-
+        f = MaxAffine(rng.standard_normal((6, 3)), rng.standard_normal(6))
         for _ in range(10):
             x = rng.standard_normal(3)
-            g = subgradient_max_affine(x, rows)
+            g = f.subgrad(x)
             ys = rng.standard_normal((1000, 3)) * 3
-            fx = f(x)
-            vals = np.array([f(y) for y in ys])
+            fx = f.value(x)
+            vals = np.array([f.value(y) for y in ys])
             assert np.all(vals >= fx + (ys - x) @ g - 1e-10)
 
 
@@ -144,13 +140,13 @@ class TestSaddleOracle:
     def test_bilinear_gradients(self):
         M = np.array([[1.0, 2.0], [0.0, -1.0]])
         u, v = np.array([0.3, -0.7]), np.array([1.0, 0.5])
-        g = saddle_oracle(np.concatenate([u, v]), M, 2)
+        g = BilinearSaddle(M).field(np.concatenate([u, v]))
         assert np.allclose(g[:2], M @ v)
         assert np.allclose(g[2:], -(M.T @ u))
 
     def test_zero_at_origin(self):
         M = np.random.default_rng(7).standard_normal((3, 2))
-        assert not np.any(saddle_oracle(np.zeros(5), M, 3))
+        assert not np.any(BilinearSaddle(M).field(np.zeros(5)))
 
     def test_saddle_inequality_sampled(self):
         # <g(x), x - x'> >= f(u, v') - f(u', v) over 10^4 sampled pairs
@@ -167,14 +163,15 @@ class TestSaddleOracle:
 class TestVIOracle:
     def test_constant_field(self):
         q = np.array([1.0, -2.0])
-        assert np.array_equal(vi_oracle(np.array([5.0, 5.0]), np.zeros((2, 2)), q), q)
+        field = MonotoneAffineField(np.zeros((2, 2)), q)
+        assert np.array_equal(field.field(np.array([5.0, 5.0])), q)
 
     def test_skew_symmetric_rotation_field(self):
-        M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        V = MonotoneAffineField(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2))
         rng = np.random.default_rng(9)
         for _ in range(100):
             x, y = rng.standard_normal(2), rng.standard_normal(2)
-            lhs = float((vi_oracle(x, M, np.zeros(2)) - vi_oracle(y, M, np.zeros(2))) @ (x - y))
+            lhs = float((V.field(x) - V.field(y)) @ (x - y))
             assert lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_monotonicity_sampled(self):

