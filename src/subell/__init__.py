@@ -33,7 +33,6 @@ from .solver import (
     SolverState,
     StrategyConfig,
     avg_radius,
-    compute_U,
     delta_from_target,
     gamma_opt,
     q_and_zeta,
@@ -54,7 +53,7 @@ __all__ = [
     "VARIANTS", "VARIANT_SUBGRADIENT", "VARIANT_ELLIPSOID",
     "VARIANT_ELLIPSOID_CERT", "VARIANT_SUBGRAD_ELLIPSOID",
     "HistoryRecord", "RunResult", "Schedule", "SolverState", "StrategyConfig",
-    "avg_radius", "compute_U", "delta_from_target", "gamma_opt", "q_and_zeta",
+    "avg_radius", "delta_from_target", "gamma_opt", "q_and_zeta",
     "run", "sliding_gap", "step",
     "HalfspaceCut", "dual_multipliers", "minimizer_u", "support_value_xi", "tau",
     "__version__",

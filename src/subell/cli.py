@@ -5,6 +5,10 @@ Every flag can also be supplied through an environment variable with the
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
 
+``solve`` and ``compare`` read only the trace, so their runs keep the lean
+O(k n) history; ``certify`` keeps every operator ``H_k`` on the history,
+because its certificates at interior checkpoints rebuild from them.
+
 Exit code 2 reports a load, validation or usage error and 3 a numerical
 failure of the solver or the certificate pass, on stderr without a traceback.
 """
@@ -164,7 +168,7 @@ def _summary(problem, args, result, extra="") -> str:
 def cmd_solve(args) -> int:
     problem = _load(args)
     config, note = _config(args, problem)
-    result = run(problem, config, args.iters)
+    result = run(problem, config, args.iters, keep_operators=False)
     summary = _summary(problem, args, result, extra=note)
     if args.out:
         _write_csv(args.out, TRACE_COLUMNS, _trace_csv_rows(result.rows), args.seed)
@@ -260,7 +264,7 @@ def cmd_compare(args) -> int:
     for v in variants:
         config = StrategyConfig.for_variant(v, problem.dim, schedule=schedule,
                                             delta_term=delta)
-        results[v] = run(problem, config, args.iters)
+        results[v] = run(problem, config, args.iters, keep_operators=False)
 
     depth = max(len(r.rows) for r in results.values())
     columns = ["k"]

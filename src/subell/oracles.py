@@ -41,10 +41,13 @@ class OracleResponse:
     ``g`` is a subgradient / field value if ``productive`` (point interior to
     Q), otherwise a nonzero separator.  A zero ``g`` on a productive step
     means the test point is an exact solution and the caller must stop.
+    ``f`` is the objective value at the test point when the oracle formed
+    it on the way to ``g`` (productive steps of minimization problems).
     """
 
     g: np.ndarray
     productive: bool
+    f: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +212,15 @@ class MaxAffine:
     A: np.ndarray        # m x n row matrix of slopes
     offsets: np.ndarray  # m intercepts
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.max(self.A @ x + self.offsets))
+    def value_and_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(x) and the first maximizing row, from one product A x: the
+        smallest-index tie-break keeps runs deterministic."""
+        v = self.A @ x + self.offsets
+        j = int(np.argmax(v))
+        return float(v[j]), self.A[j].copy()
 
-    def subgrad(self, x: np.ndarray) -> np.ndarray:
-        """First maximizing row: the smallest-index tie-break keeps runs deterministic."""
-        j = int(np.argmax(self.A @ x + self.offsets))
-        return self.A[j].copy()
+    def value(self, x: np.ndarray) -> float:
+        return self.value_and_subgrad(x)[0]
 
     def max_slope_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.A, axis=1)))
@@ -228,11 +233,13 @@ class ConvexQuadratic:
     P: np.ndarray
     q: np.ndarray
 
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.P @ x)) + float(self.q @ x)
+    def value_and_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(x) and the gradient P x + q, from one product P x."""
+        px = self.P @ x
+        return 0.5 * float(x @ px) + float(self.q @ x), px + self.q
 
-    def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.P @ x + self.q
+    def value(self, x: np.ndarray) -> float:
+        return self.value_and_subgrad(x)[0]
 
 
 @dataclass(frozen=True)
@@ -291,11 +298,6 @@ class Problem:
     xstar: Optional[np.ndarray] = None
     fstar: Optional[float] = None
 
-    def first_order(self, x: np.ndarray) -> np.ndarray:
-        if self.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
-            return self.objective.subgrad(x)
-        return self.objective.field(x)
-
     def oracle(self, x: np.ndarray) -> OracleResponse:
         return composed_oracle(self, x)
 
@@ -321,10 +323,17 @@ class Problem:
 
 
 def composed_oracle(problem: Problem, x: np.ndarray) -> OracleResponse:
-    """First-order oracle on the interior of Q, separation oracle outside."""
-    if problem.feasible.contains_interior(x):
-        return OracleResponse(g=problem.first_order(x), productive=True)
-    return problem.feasible.separator(x)
+    """First-order oracle on the interior of Q, separation oracle outside.
+
+    On the interior of Q a minimization problem's answer also carries the
+    objective value, formed from the same products as the subgradient.
+    """
+    if not problem.feasible.contains_interior(x):
+        return problem.feasible.separator(x)
+    if problem.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
+        f, g = problem.objective.value_and_subgrad(x)
+        return OracleResponse(g=g, productive=True, f=f)
+    return OracleResponse(g=problem.objective.field(x), productive=True)
 
 
 # ---------------------------------------------------------------------------

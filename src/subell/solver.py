@@ -211,12 +211,14 @@ def initial_state(problem: Problem) -> SolverState:
     )
 
 
-def _localizer_from(state: SolverState, hc: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center z and squared radius D of the ellipsoid part of the localizer.
+def _localizer(state: SolverState) -> tuple[np.ndarray, np.ndarray, float]:
+    """``H c`` with the center z and squared radius D of the ellipsoid part
+    of the localizer; the only place the solver forms ``H c``.
 
     Completing the square in  -l(x) + |x - x_k|_G^2 / 2 <= R_k^2 / 2  gives
     z = x + Hc and D = R^2 - 2(sigma - <c, x>) + <c, Hc>.
     """
+    hc = state.H @ state.c
     z = state.x + hc
     D = state.Rsq - 2.0 * (state.sigma - float(state.c @ state.x)) + float(state.c @ hc)
     if D < 0.0:
@@ -225,11 +227,12 @@ def _localizer_from(state: SolverState, hc: np.ndarray) -> tuple[np.ndarray, flo
                 f"localizer radius went negative (D = {D:g} at k = {state.k})"
             )
         D = 0.0
-    return z, D
+    return hc, z, D
 
 
 def localizer_geometry(state: SolverState) -> tuple[np.ndarray, float]:
-    return _localizer_from(state, state.H @ state.c)
+    _, z, D = _localizer(state)
+    return z, D
 
 
 def _u_from_grams(state, g, hg, hc, z, D) -> float:
@@ -245,38 +248,20 @@ def _u_from_grams(state, g, hg, hc, z, D) -> float:
     return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, beta)
 
 
-def compute_U(state: SolverState, g: np.ndarray) -> float:
-    """max of <g, x_k - x> over the localizer; nonnegative while a solution
-    remains inside.  Raises SolverBreakdown if the localizer degenerates."""
-    hc = state.H @ state.c
-    z, D = _localizer_from(state, hc)
-    return _u_from_grams(state, g, state.H @ g, hc, z, D)
-
-
-def coefficients(config: StrategyConfig, state: SolverState, g: np.ndarray,
-                 U: float) -> tuple[float, float]:
-    """Step weights (a_k, b_k) for the current subgradient."""
-    hg = state.H @ g
-    t = float(g @ hg)
-    if t <= 0.0:
-        raise ValueError("coefficients need a nonzero subgradient")
-    dn = math.sqrt(t)
-    R_k = math.sqrt(state.Rsq)
-    a = (config.alpha(state.k) * state.R0 + 0.5 * config.theta * config.gamma * R_k) / dn
-    b = config.gamma / t
-    return a, b
-
-
 def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
-         keep_operator: bool = True) -> tuple[SolverState, HistoryRecord, bool]:
+         keep_operator: bool = True, *, localizer=None
+         ) -> tuple[SolverState, HistoryRecord, bool]:
     """One iteration: record, test termination, update.
 
+    ``U_k`` is the support of ``g_k`` over the localizer, and the step
+    weights are ``a_k = (alpha_k R + theta gamma R_k / 2) / |g_k|_k`` and
+    ``b_k = gamma / |g_k|_k^2``; the record carries all three.
+    ``localizer`` is ``_localizer(state)`` when the caller already has it.
     Returns ``(new_state, record, terminal)``.  On a terminal iteration
     (U_k <= delta |g_k|) the state is returned unchanged.
     """
     g = response.g
-    hc = state.H @ state.c
-    z, D = _localizer_from(state, hc)
+    hc, z, D = localizer if localizer is not None else _localizer(state)
     hg = state.H @ g
     U = _u_from_grams(state, g, hg, hc, z, D)
     gnorm = float(np.linalg.norm(g))
@@ -294,8 +279,10 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
              + 0.5 * config.theta * config.gamma * R_k) / dn
         b = config.gamma / t
 
+    # hg is a fresh product that nothing below writes to, so the record can
+    # hold it without a copy
     record = HistoryRecord(
-        x=state.x.copy(), g=g.copy(), a=a, b=b, Hg=hg.copy(), z=z, D=D,
+        x=state.x.copy(), g=g.copy(), a=a, b=b, Hg=hg, z=z, D=D,
         c=state.c.copy(), sigma=state.sigma, U=U, productive=response.productive,
         H=state.H.copy() if keep_operator else None,
     )
@@ -330,14 +317,14 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     return new_state, record, False
 
 
-def sliding_gap(state: SolverState) -> float:
+def sliding_gap(state: SolverState, *, localizer=None) -> float:
     """max of the accumulated linear model over the current ellipsoid,
     normalized by Gamma_k; undefined when no step weight was accumulated
-    (the standard ellipsoid strategy)."""
+    (the standard ellipsoid strategy).  ``localizer`` is
+    ``_localizer(state)`` when the caller already has it."""
     if state.Gamma <= 0.0:
         raise ValueError("sliding gap undefined: no accumulated step weights")
-    hc = state.H @ state.c
-    z, D = _localizer_from(state, hc)
+    hc, z, D = localizer if localizer is not None else _localizer(state)
     cn = nonneg_sqrt(float(state.c @ hc), max(1.0, float(state.c @ state.c)))
     return (state.sigma - float(state.c @ z) + math.sqrt(D) * cn) / state.Gamma
 
@@ -382,8 +369,13 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     Stops at ``max_iter``, at the gap test ``U_k <= delta_term |g_k|``, or
     when the oracle reports a zero vector (the test point is then an exact
     solution; the trailing history record carries it with unit certificate
-    weight semantics).  ``keep_operators=False`` switches the history to the
-    storage-lean O(k n) format.
+    weight semantics).
+
+    By default each record also keeps its operator ``H_k`` (O(k n^2)
+    memory), which interior-checkpoint certificates and
+    ``reconstruct_state`` read; ``keep_operators=False`` leaves it off, the
+    storage-lean O(k n) format.  The localizer is formed once per iteration
+    and shared by the step and the trace row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -394,9 +386,9 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     for _ in range(max_iter):
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
+        localizer = _localizer(state)
         if not np.any(resp.g):
-            hc = state.H @ state.c
-            z, D = _localizer_from(state, hc)
+            _, z, D = localizer
             records.append(HistoryRecord(
                 x=state.x.copy(), g=resp.g.copy(), a=0.0, b=0.0,
                 Hg=np.zeros_like(resp.g), z=z, D=D, c=state.c.copy(),
@@ -404,15 +396,16 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
                 H=state.H.copy() if keep_operators else None,
             ))
             if collect_trace:
-                rows.append(_trace_row(problem, config, state, resp,
+                rows.append(_trace_row(problem, config, state, resp, localizer,
                                        time.perf_counter() - t_start))
             termination = "zero-subgradient"
             break
         new_state, record, terminal = step(state, resp, config,
-                                           keep_operator=keep_operators)
+                                           keep_operator=keep_operators,
+                                           localizer=localizer)
         records.append(record)
         if collect_trace:
-            rows.append(_trace_row(problem, config, state, resp,
+            rows.append(_trace_row(problem, config, state, resp, localizer,
                                    time.perf_counter() - t_start))
         if terminal:
             termination = "gap-threshold"
@@ -453,15 +446,15 @@ def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
     )
 
 
-def _trace_row(problem, config, state, resp, elapsed_s) -> TraceRow:
+def _trace_row(problem, config, state, resp, localizer, elapsed_s) -> TraceRow:
     gap = None
     if state.k >= 1 and state.Gamma > 0.0:
-        gap = sliding_gap(state)
+        gap = sliding_gap(state, localizer=localizer)
     return TraceRow(
         k=state.k,
         variant=config.variant,
         productive=resp.productive,
-        f_value=problem.f_value(state.x),
+        f_value=resp.f if resp.f is not None else problem.f_value(state.x),
         sliding_gap=gap,
         cert_gap=None,
         R_k=math.sqrt(state.Rsq),

@@ -155,6 +155,31 @@ def test_compare_emits_regime_report(problem_path, tmp_path, capsys):
     assert "crossover" in printed
 
 
+@pytest.mark.parametrize("command, lean", [
+    ("solve", True), ("compare", True), ("certify", False),
+])
+def test_only_certify_keeps_operators(problem_path, tmp_path, monkeypatch,
+                                      command, lean):
+    # solve and compare read only the trace; certify rebuilds interior
+    # certificates from the operators on the history
+    real_run = subell.cli.run
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subell.cli, "run", spy)
+    rc = main([command, "--problem", problem_path, "--iters", "20",
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 0 and seen
+    for kwargs in seen:
+        if lean:
+            assert kwargs.get("keep_operators") is False
+        else:
+            assert "keep_operators" not in kwargs
+
+
 def test_environment_variables_feed_defaults(problem_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUBELL_PROBLEM", problem_path)
     monkeypatch.setenv("SUBELL_ITERS", "7")

@@ -17,7 +17,13 @@ from subell.oracles import (
     separation_box,
 )
 
-from helpers import max_affine_ball, max_affine_box, saddle_problem, vi_problem
+from helpers import (
+    max_affine_ball,
+    max_affine_box,
+    random_spd,
+    saddle_problem,
+    vi_problem,
+)
 
 
 def _ball_points(rng, center, radius, count):
@@ -86,11 +92,11 @@ class TestMaxAffineSubgradient:
         a = np.array([2.0, -1.0])
         f = MaxAffine(a[None, :], np.array([0.5]))
         for x in (np.zeros(2), np.ones(2), np.array([-3.0, 7.0])):
-            assert np.array_equal(f.subgrad(x), a)
+            assert np.array_equal(f.value_and_subgrad(x)[1], a)
 
     def test_symmetric_tie_takes_first(self):
         f = MaxAffine(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros(2))
-        g = f.subgrad(np.array([0.0, 0.3]))
+        g = f.value_and_subgrad(np.array([0.0, 0.3]))[1]
         assert np.array_equal(g, np.array([1.0, 0.0]))
 
     def test_subgradient_inequality_sampled(self):
@@ -98,7 +104,7 @@ class TestMaxAffineSubgradient:
         f = MaxAffine(rng.standard_normal((6, 3)), rng.standard_normal(6))
         for _ in range(10):
             x = rng.standard_normal(3)
-            g = f.subgrad(x)
+            g = f.value_and_subgrad(x)[1]
             ys = rng.standard_normal((1000, 3)) * 3
             fx = f.value(x)
             vals = np.array([f.value(y) for y in ys])
@@ -134,6 +140,47 @@ class TestComposedOracle:
             resp = composed_oracle(prob, x)
             if not resp.productive:
                 assert np.any(resp.g)
+
+
+class TestOracleObjectiveValue:
+    """A productive answer of a minimization problem carries f(x), bit for
+    bit the value ``Problem.f_value`` and the defining formula give."""
+
+    def test_value_matches_f_value_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        quad = problem_from_dict({
+            "kind": "quadratic-over-ball", "dim": 4, "x0": [0.0] * 4, "R": 1.0,
+            "set": {"type": "ball", "center": [0.0] * 4, "radius": 0.5},
+            "objective": {"P": random_spd(rng, 4).tolist(),
+                          "q": rng.standard_normal(4).tolist()},
+        })
+        for prob in (max_affine_ball(rng, 4), max_affine_box(rng, 3), quad):
+            obj = prob.objective
+            productive = 0
+            for _ in range(500):
+                x = prob.x0 + rng.standard_normal(prob.dim) * rng.uniform(0.0, 0.6)
+                resp = composed_oracle(prob, x)
+                if not resp.productive:
+                    assert resp.f is None
+                    continue
+                productive += 1
+                if prob.kind == "max-of-affine":
+                    want = float(np.max(obj.A @ x + obj.offsets))
+                    assert np.array_equal(
+                        resp.g, obj.A[int(np.argmax(obj.A @ x + obj.offsets))])
+                else:
+                    want = 0.5 * float(x @ (obj.P @ x)) + float(obj.q @ x)
+                    assert np.array_equal(resp.g, obj.P @ x + obj.q)
+                assert resp.f == want
+                assert resp.f == prob.f_value(x)
+            assert productive >= 100
+
+    def test_no_value_for_saddle_and_vi(self):
+        rng = np.random.default_rng(41)
+        for prob in (saddle_problem(rng, 2, 2), vi_problem(rng, 3)):
+            resp = composed_oracle(prob, prob.x0)
+            assert resp.productive and resp.f is None
+            assert prob.f_value(prob.x0) is None
 
 
 class TestSaddleOracle:

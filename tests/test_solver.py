@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from subell import certificates as certs
 from subell.linalg import dual_norm
 from subell.oracles import OracleResponse, problem_from_dict
 from subell.solver import (
+    VARIANTS,
+    HistoryRecord,
     Schedule,
     StrategyConfig,
     avg_radius,
-    compute_U,
-    coefficients,
     delta_from_target,
     gamma_opt,
     initial_state,
@@ -27,8 +28,11 @@ from helpers import (
     classical_ellipsoid,
     max_affine_ball,
     max_affine_box,
+    random_spd,
+    saddle_problem,
     support_exact,
     support_samples,
+    vi_problem,
 )
 
 
@@ -85,12 +89,20 @@ class TestQAndZeta:
             q_and_zeta(1.0, 4, 0.0)
 
 
+def _first_record(state, config, g):
+    """The history record of one step from ``state`` with oracle vector g."""
+    _, rec, _ = step(state, OracleResponse(g=g, productive=True), config)
+    return rec
+
+
 class TestComputeU:
     def test_initial_iteration_is_ball_support(self):
         prob = max_affine_ball(np.random.default_rng(1), 3, R=2.0)
+        config = StrategyConfig.for_variant("ellipsoid", 3)
         state = initial_state(prob)
         g = np.array([1.0, -2.0, 0.5])
-        assert compute_U(state, g) == pytest.approx(2.0 * np.linalg.norm(g), rel=1e-14)
+        rec = _first_record(state, config, g)
+        assert rec.U == pytest.approx(2.0 * np.linalg.norm(g), rel=1e-14)
 
     def test_standard_ellipsoid_closed_form_along_run(self):
         prob = max_affine_ball(np.random.default_rng(2), 4)
@@ -98,10 +110,9 @@ class TestComputeU:
         state = initial_state(prob)
         for _ in range(30):
             resp = prob.oracle(state.x)
-            U = compute_U(state, resp.g)
             want = math.sqrt(state.Rsq) * dual_norm(state.H, resp.g)
-            assert U == pytest.approx(want, rel=1e-12)
-            state, _, terminal = step(state, resp, config)
+            state, rec, terminal = step(state, resp, config)
+            assert rec.U == pytest.approx(want, rel=1e-12)
             assert not terminal
 
     def test_against_primal_geometry_and_sampling(self):
@@ -111,11 +122,13 @@ class TestComputeU:
             "subgrad-ellipsoid", 3, schedule=Schedule("const", 12))
         res = run(prob, config, 12)
         state = res.state
-        g = prob.oracle(state.x).g
+        resp = prob.oracle(state.x)
+        g = resp.g
         z, D = localizer_geometry(state)
         lead = float(g @ (state.x - z))
         beta = state.sigma - float(state.c @ z)
-        got = compute_U(state, g)
+        _, rec, _ = step(state, resp, config)
+        got = rec.U
         exact = lead + support_exact(D * state.H, -g, state.c, beta)
         assert got == pytest.approx(exact, rel=1e-10, abs=1e-12)
         sampled = lead + support_samples(D * state.H, -g, state.c, beta, rng,
@@ -139,31 +152,32 @@ class TestCoefficients:
         config = StrategyConfig.for_variant("subgradient", 2,
                                             schedule=Schedule("const", 16))
         state = initial_state(prob)
-        g = np.array([3.0, 4.0])
-        a, b = coefficients(config, state, g, compute_U(state, g))
-        assert b == 0.0
-        assert a == pytest.approx((1.0 / 4.0) * 1.5 / 5.0, rel=1e-14)
+        rec = _first_record(state, config, np.array([3.0, 4.0]))
+        assert rec.b == 0.0
+        assert rec.a == pytest.approx((1.0 / 4.0) * 1.5 / 5.0, rel=1e-14)
 
     def test_standard_ellipsoid_variant(self):
         config = StrategyConfig.for_variant("ellipsoid", 3)
         prob = max_affine_ball(np.random.default_rng(6), 3)
         state = initial_state(prob)
         g = np.array([1.0, 2.0, -1.0])
-        a, b = coefficients(config, state, g, compute_U(state, g))
-        assert a == 0.0
-        assert b == pytest.approx(config.gamma / float(g @ g), rel=1e-14)
+        rec = _first_record(state, config, g)
+        assert rec.a == 0.0
+        assert rec.b == pytest.approx(config.gamma / float(g @ g), rel=1e-14)
 
     def test_step_records_the_same_weights(self):
-        # the step hot path inlines the weight formulas; keep them in lock
-        # step with the public coefficients op along a real run
+        # the weights step records match a_k = (alpha_k R + theta gamma R_k/2)
+        # / |g|_k and b_k = gamma / |g|_k^2 evaluated apart, along a real run
         prob = max_affine_ball(np.random.default_rng(30), 3)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 3,
                                             schedule=Schedule("decay"))
         state = initial_state(prob)
         for _ in range(15):
             resp = prob.oracle(state.x)
-            a, b = coefficients(config, state, resp.g,
-                                compute_U(state, resp.g))
+            dn = dual_norm(state.H, resp.g)
+            a = (config.alpha(state.k) * prob.R
+                 + 0.5 * config.theta * config.gamma * math.sqrt(state.Rsq)) / dn
+            b = config.gamma / dn ** 2
             state, rec, _ = step(state, resp, config)
             assert rec.a == pytest.approx(a, rel=1e-15)
             assert rec.b == pytest.approx(b, rel=1e-15)
@@ -179,11 +193,11 @@ class TestCoefficients:
                                             schedule=Schedule("const", 1))
         state = initial_state(prob)
         g = prob.oracle(state.x).g
-        a, b = coefficients(config, state, g, compute_U(state, g))
+        rec = _first_record(state, config, g)
         gn = float(np.linalg.norm(g))
         want_a = (math.sqrt(theta / (theta + 1.0)) * R + 0.5 * theta * gamma * R) / gn
-        assert a == pytest.approx(want_a, rel=1e-13)
-        assert b == pytest.approx(gamma / gn**2, rel=1e-13)
+        assert rec.a == pytest.approx(want_a, rel=1e-13)
+        assert rec.b == pytest.approx(gamma / gn**2, rel=1e-13)
 
 
 class TestStep:
@@ -493,3 +507,76 @@ class TestConfig:
         th = 2 ** (1 / 3) - 1
         assert cfg.theta == pytest.approx(th)
         assert cfg.alpha_scale == pytest.approx(math.sqrt(th / (th + 1)))
+
+
+def _quadratic_ball(rng, n):
+    return problem_from_dict({
+        "kind": "quadratic-over-ball", "dim": n, "x0": [0.0] * n, "R": 1.0,
+        "set": {"type": "ball", "center": [0.0] * n, "radius": 0.5},
+        "objective": {"P": random_spd(rng, n).tolist(),
+                      "q": rng.standard_normal(n).tolist()},
+    })
+
+
+FAMILIES = {
+    "max-affine-ball": lambda rng: max_affine_ball(rng, 4),
+    "max-affine-box": lambda rng: max_affine_box(rng, 3),
+    "quadratic": lambda rng: _quadratic_ball(rng, 3),
+    "saddle": lambda rng: saddle_problem(rng, 2, 2),
+    "vi": lambda rng: vi_problem(rng, 3),
+}
+
+
+class TestLeanHistory:
+    """``keep_operators=False`` drops ``H`` from the records and changes
+    nothing else, and a trace row's objective value is ``f_value`` at the
+    recorded point exactly, whether the oracle or ``f_value`` formed it."""
+
+    @staticmethod
+    def _assert_lean_matches_full(prob, config, iters):
+        full = run(prob, config, iters)
+        lean = run(prob, config, iters, keep_operators=False)
+        assert lean.termination == full.termination
+        assert len(lean.rows) == len(full.rows) == len(full.records)
+        for a, b in zip(full.rows, lean.rows):
+            assert replace(b, wall_time_us=0.0) == replace(a, wall_time_us=0.0)
+        assert len(lean.records) == len(full.records)
+        for a, b in zip(full.records, lean.records):
+            assert a.H is not None and b.H is None
+            for field in fields(HistoryRecord):
+                if field.name != "H":
+                    assert np.array_equal(getattr(b, field.name),
+                                          getattr(a, field.name)), field.name
+        assert np.array_equal(lean.state.x, full.state.x)
+        assert np.array_equal(lean.state.H, full.state.H)
+        for row, rec in zip(lean.rows, lean.records):
+            assert row.f_value == prob.f_value(rec.x)
+        return lean
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lean_run_matches_full_run(self, family, variant):
+        prob = FAMILIES[family](np.random.default_rng(50))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        lean = self._assert_lean_matches_full(prob, config, 60)
+        minimization = family in ("max-affine-ball", "max-affine-box", "quadratic")
+        assert all((row.f_value is not None) == minimization for row in lean.rows)
+        assert any(row.productive for row in lean.rows)
+
+    def test_gap_threshold_stop(self):
+        prob = max_affine_ball(np.random.default_rng(10), 2)
+        config = StrategyConfig.for_variant("ellipsoid-cert", 2, delta_term=0.25)
+        lean = self._assert_lean_matches_full(prob, config, 500)
+        assert lean.termination == "gap-threshold"
+
+    def test_zero_subgradient_stop(self):
+        prob = problem_from_dict({
+            "kind": "max-of-affine", "dim": 2, "x0": [0.0, 0.0], "R": 1.0,
+            "set": {"type": "ball", "center": [0.0, 0.0], "radius": 0.5},
+            "objective": {"rows": [{"a": [0.0, 0.0], "b": 1.0}]},
+        })
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 2,
+                                            schedule=Schedule("decay"))
+        lean = self._assert_lean_matches_full(prob, config, 10)
+        assert lean.termination == "zero-subgradient"
