@@ -10,7 +10,7 @@ from .certificates import (
     residual,
     residual_bound_from_gap,
 )
-from .linalg import dual_norm, rank_one_inverse_update, top_eigenpair
+from .linalg import dual_norm, top_eigenpair
 from .oracles import (
     OracleResponse,
     Problem,
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MinWidthReport", "Semicertificate", "augment", "certify_from_preliminary",
     "certify_standard_ellipsoid", "gap", "residual", "residual_bound_from_gap",
-    "dual_norm", "rank_one_inverse_update", "top_eigenpair",
+    "dual_norm", "top_eigenpair",
     "OracleResponse", "Problem", "ProblemFormatError", "composed_oracle",
     "load_problem", "problem_from_dict", "problem_to_dict", "save_problem",
     "VARIANTS", "VARIANT_SUBGRADIENT", "VARIANT_ELLIPSOID",

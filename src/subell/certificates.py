@@ -9,10 +9,10 @@ primal-dual gap, dual gap function).
 The constructions here all reduce to one backward pass (``augment``): walk
 the recorded localizers from the last step to the first, each time dualizing
 the subgradient cut of that step via the two-constraint multiplier routine,
-and fold the multiplier into the running direction.  The forward run costs
-O(n^2) per step and so does each backward step, in both the full-history
-mode (operators stored) and the storage-lean mode (operators rebuilt from
-the stored matrix-vector products).
+and fold the multiplier into the running direction.  The pass never forms
+an operator: after one O(n^2) matrix-vector product with the last operator
+it carries ``H_i s`` backward through the recorded rank-one updates, so each
+backward step costs O(n), on full-history and storage-lean records alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import spd_inverse, symmetrize, top_eigenpair
+from .linalg import spd_inverse, top_eigenpair
 from .solver import HistoryRecord, SolverState, avg_radius
 from .support import HalfspaceCut, dual_multipliers
 
@@ -107,20 +107,13 @@ def residual_bound_from_gap(delta: float, r: float, V: float) -> float:
     return delta * V / (r - delta)
 
 
-def _operator_at(rec: HistoryRecord, H_next: Optional[np.ndarray]) -> np.ndarray:
-    """Operator in force at a recorded step.
-
-    Full mode: stored on the record.  Lean mode: rebuilt from the successor
-    operator by inverting the rank-one update, using the stored product Hg.
-    """
-    if rec.H is not None:
-        return rec.H
-    if H_next is None:
-        raise ValueError("storage-lean history needs the final operator")
-    if rec.b == 0.0:
-        return H_next
-    denom = 1.0 + rec.b * float(rec.g @ rec.Hg)
-    return symmetrize(H_next + (rec.b / denom) * np.outer(rec.Hg, rec.Hg))
+def _step_back(v: np.ndarray, rec: HistoryRecord, s: np.ndarray) -> None:
+    """Turn ``v = H_{i+1} s`` into ``H_i s`` in place, where record i made the
+    update: ``H_i = H_{i+1} + beta (Hg)(Hg)^T`` with
+    ``beta = b / (1 + b g.Hg)``."""
+    if rec.b != 0.0:
+        beta = rec.b / (1.0 + rec.b * float(rec.g @ rec.Hg))
+        v += (beta * float(rec.Hg @ s)) * rec.Hg
 
 
 def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
@@ -134,24 +127,40 @@ def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
     as the first cut and the subgradient cut as the second, keeping the
     second multiplier) and replacing ``s_i = s_{i+1} - mu_i g_i``.
 
+    The multiplier routine needs only ``H_i s``, ``H_i c_i = z_i - x_i`` and
+    ``H_i g_i`` (recorded).  ``v = H_i s`` starts from the last record's
+    operator, or from ``final_operator`` (the operator after the last
+    record, needed by lean records) stepped back one record, and then
+    follows ``s`` and the inverted rank-one updates in O(n) per step.
+
     Returns ``(mu, s_0)``.  The weights mu satisfy: the support of the
     augmented model over the initial ball never exceeds the support of
     ``s_k`` over the final localizer.
     """
     mus = np.zeros(len(records))
     s = np.asarray(s_final, dtype=float).copy()
-    H_next = final_operator
+    if not records:
+        return mus, s
+    if records[-1].H is not None:
+        v = records[-1].H @ s
+    elif final_operator is not None:
+        v = final_operator @ s
+        _step_back(v, records[-1], s)
+    else:
+        raise ValueError("storage-lean history needs the final operator")
     for i in reversed(range(len(records))):
         rec = records[i]
-        H_i = _operator_at(rec, H_next)
-        scaled = rec.D * H_i
         cut_model = HalfspaceCut(rec.c, rec.sigma - float(rec.c @ rec.z))
         cut_step = HalfspaceCut(rec.g, float(rec.g @ (rec.x - rec.z)))
-        _, mu = dual_multipliers(scaled, s, cut_model, cut_step)
+        _, mu = dual_multipliers(
+            None, s, cut_model, cut_step,
+            products=(rec.D * v, rec.D * (rec.z - rec.x), rec.D * rec.Hg))
         mus[i] = mu
         if mu != 0.0:
-            s = s - mu * rec.g
-        H_next = H_i
+            s -= mu * rec.g
+            v -= mu * rec.Hg
+        if i > 0:
+            _step_back(v, records[i - 1], s)
     return mus, s
 
 

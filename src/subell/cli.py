@@ -5,9 +5,10 @@ Every flag can also be supplied through an environment variable with the
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
 
-``solve`` and ``compare`` read only the trace, so their runs keep the lean
-O(k n) history; ``certify`` keeps every operator ``H_k`` on the history,
-because its certificates at interior checkpoints rebuild from them.
+Every command runs with the lean O(k n) history, which keeps no operator
+``H_k``.  ``certify`` replays the operators it needs at its checkpoints
+(``operators_at``, one n x n operator at a time) and hands each to the
+certificate pass, whose backward steps are matrix-free.
 
 Exit code 2 reports a load, validation or usage error and 3 a numerical
 failure of the solver or the certificate pass, on stderr without a traceback.
@@ -33,6 +34,7 @@ from .solver import (
     SolverBreakdown,
     StrategyConfig,
     delta_from_target,
+    operators_at,
     reconstruct_state,
     run,
     sliding_gap,
@@ -199,29 +201,34 @@ def _checkpoints(cadence: str, total: int) -> list[int]:
 def cmd_certify(args) -> int:
     problem = _load(args)
     config, note = _config(args, problem)
-    result = run(problem, config, args.iters)
+    result = run(problem, config, args.iters, keep_operators=False)
     records = result.records
     terminal = result.termination in ("gap-threshold", "zero-subgradient")
 
     cert_rows = []
     cert_dump = []
     rows = list(result.rows)
-    for k in _checkpoints(args.cadence, len(records)):
+    checkpoints = _checkpoints(args.cadence, len(records))
+    # H_k is the operator after the first k records; after a terminal record
+    # (b = 0) it is the operator before it, which the terminal pass needs
+    for k, H_k in zip(checkpoints, operators_at(records, checkpoints)):
         at_end = k == len(records)
         rho = bound = None
         if at_end and terminal:
             pathway = "terminal"
-            cert = certs.certify_from_preliminary(records, terminal=True)
+            cert = certs.certify_from_preliminary(records, terminal=True,
+                                                  final_operator=H_k)
         elif config.variant == VARIANT_ELLIPSOID:
             pathway = "min-width"
-            state_k = reconstruct_state(problem, records, k, result.state)
+            state_k = reconstruct_state(problem, records, k, result.state,
+                                        operator=H_k)
             report = certs.certify_standard_ellipsoid(
                 records[:k], state_k, problem.feasible.diameter,
-                problem.inner_radius)
+                problem.inner_radius, final_operator=H_k)
             cert, rho, bound = report.certificate, report.rho, report.gap_bound
         else:
             pathway = "preliminary"
-            cert = certs.certify_from_preliminary(records[:k])
+            cert = certs.certify_from_preliminary(records[:k], final_operator=H_k)
         used = records if (at_end and terminal) else records[:k]
         g = certs.gap(cert, used, problem.x0, problem.R) \
             if cert.gamma_weighted > 0 else None

@@ -3,8 +3,9 @@
 Coordinates are fixed so that the reference inner product is the plain dot
 product; every operator in this package is then just a dense symmetric
 ``numpy`` array.  This module provides the few primitives the solver needs:
-norms weighted by an inverse operator, Sherman-Morrison rank-one updates of
-that inverse, and the extreme eigenpair used by the min-width certificate.
+norms weighted by an inverse operator, the SPD inverse, and the extreme
+eigenpair used by the min-width certificate.  The rank-one update of the
+inverse metric lives with the step that makes it (``solver``).
 """
 
 from __future__ import annotations
@@ -49,22 +50,6 @@ def dual_norm(H: np.ndarray, s: np.ndarray) -> float:
     rad = dual_norm_sq(H, s)
     scale = float(np.abs(s).max(initial=0.0)) ** 2 * float(np.abs(H).max(initial=1.0))
     return nonneg_sqrt(rad, scale, "in dual_norm")
-
-
-def rank_one_inverse_update(H: np.ndarray, g: np.ndarray, b: float) -> np.ndarray:
-    """Inverse of ``H^-1 + b g g^T`` via the Sherman-Morrison formula.
-
-    Returns ``H - b (Hg)(Hg)^T / (1 + b g.Hg)``, symmetrized.  The denominator
-    is >= 1 because ``b >= 0`` and ``H`` is PD, so the update never degenerates.
-    """
-    if b < 0.0:
-        raise ValueError(f"update weight must be nonnegative, got {b:g}")
-    if b == 0.0:
-        return H.copy()
-    Hg = H @ g
-    denom = 1.0 + b * float(g @ Hg)
-    out = H - (b / denom) * np.outer(Hg, Hg)
-    return symmetrize(out)
 
 
 def spd_inverse(H: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -177,9 +177,10 @@ class SolverState:
 class HistoryRecord:
     """Snapshot taken at the start of an iteration, before the update.
 
-    Keeps the matrix-vector product ``Hg`` instead of the full operator, so
-    the backward certificate pass can rebuild each operator in O(n^2) from
-    its successor; ``H`` itself is retained only in full-history mode.
+    Keeps the matrix-vector product ``Hg`` instead of the full operator:
+    with it the backward certificate pass carries ``H_i s`` from step to
+    step in O(n), and ``operators_at`` replays any ``H_k`` from ``H_0 = I``;
+    ``H`` itself is retained only in full-history mode.
     """
 
     x: np.ndarray
@@ -248,6 +249,28 @@ def _u_from_grams(state, g, hg, hc, z, D) -> float:
     return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, beta)
 
 
+def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
+                     denom: float) -> np.ndarray:
+    """The inverse metric after one step: ``H - (b / denom) hg hg^T``.
+
+    With ``hg = H g`` and ``denom = 1 + b g.Hg`` this is the Sherman-Morrison
+    inverse of ``H^-1 + b g g^T``; ``H`` itself is returned when ``b == 0``.
+    ``step`` and ``operators_at`` both update through here, so a replayed
+    operator equals the one the run formed bit for bit.
+    """
+    if b < 0.0:
+        raise ValueError(f"update weight must be nonnegative, got {b:g}")
+    if b == 0.0:
+        return H
+    # the rank-one downdate preserves exact symmetry elementwise
+    # (hg[i]*hg[j] rounds identically to hg[j]*hg[i]), so no extra
+    # symmetrization pass is needed in the hot loop
+    new_H = np.outer(hg, hg)
+    new_H *= -(b / denom)
+    new_H += H
+    return new_H
+
+
 def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
          keep_operator: bool = True, *, localizer=None
          ) -> tuple[SolverState, HistoryRecord, bool]:
@@ -293,19 +316,10 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     denom = 1.0 + b * t
     coef = (a + 0.5 * b * U) / denom
     new_x = state.x - coef * hg
-    if b > 0.0:
-        # the rank-one downdate preserves exact symmetry elementwise
-        # (hg[i]*hg[j] rounds identically to hg[j]*hg[i]), so no extra
-        # symmetrization pass is needed in the hot loop
-        new_H = np.outer(hg, hg)
-        new_H *= -(b / denom)
-        new_H += state.H
-    else:
-        new_H = state.H
     new_state = SolverState(
         k=state.k + 1,
         x=new_x,
-        H=new_H,
+        H=_rank_one_update(state.H, hg, b, denom),
         Rsq=state.Rsq + (a + 0.5 * b * U) ** 2 * t / denom,
         c=state.c + a * g,
         sigma=state.sigma + a * float(g @ state.x),
@@ -372,10 +386,10 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     weight semantics).
 
     By default each record also keeps its operator ``H_k`` (O(k n^2)
-    memory), which interior-checkpoint certificates and
-    ``reconstruct_state`` read; ``keep_operators=False`` leaves it off, the
-    storage-lean O(k n) format.  The localizer is formed once per iteration
-    and shared by the step and the trace row.
+    memory); ``keep_operators=False`` leaves it off, the storage-lean O(k n)
+    format, from which ``operators_at`` replays the same operators bit for
+    bit.  The localizer is formed once per iteration and shared by the step
+    and the trace row.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -414,22 +428,44 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     return RunResult(rows=rows, records=records, state=state, termination=termination)
 
 
+def operators_at(records: Sequence[HistoryRecord],
+                 ks: Iterable[int]) -> Iterator[np.ndarray]:
+    """Yield the operator ``H_k`` in force after the first k recorded steps,
+    for each k of the increasing sequence ``ks``.
+
+    Replays the recorded rank-one updates from ``H_0 = I`` through
+    ``_rank_one_update``, so each ``H_k`` equals the run's own operator bit
+    for bit; one n x n operator is held at a time.  A terminal record
+    carries ``b = 0``, so after it the replay still yields ``H_{K-1}``.
+    """
+    H = np.eye(records[0].x.shape[0])
+    done = 0
+    for k in ks:
+        for rec in records[done:k]:
+            H = _rank_one_update(H, rec.Hg, rec.b, 1.0 + rec.b * float(rec.g @ rec.Hg))
+        done = k
+        yield H
+
+
 def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
-                      k: int, final_state: SolverState) -> SolverState:
+                      k: int, final_state: SolverState, *,
+                      operator: Optional[np.ndarray] = None) -> SolverState:
     """State after the first k recorded steps, rebuilt from the history.
 
-    Needs the full-history mode (operators on the records) unless k equals
-    the total number of recorded steps.  The scalar recurrences are replayed
-    from the recorded (a, b, U, Hg) data.
+    The operator ``H_k`` is ``operator`` when given (e.g. from
+    ``operators_at``), else the one on ``records[k]``, so lean records need
+    ``operator`` unless k equals the total number of recorded steps.  The
+    scalar recurrences are replayed from the recorded (a, b, U, Hg) data.
     """
     if k == len(records):
         return final_state
     if not 0 <= k < len(records):
         raise ValueError(f"checkpoint {k} outside the recorded range")
     rec = records[k]
-    if rec.H is None:
-        raise ValueError("reconstruction at an interior checkpoint needs "
-                         "full-history records")
+    H = operator if operator is not None else rec.H
+    if H is None:
+        raise ValueError("reconstruction at an interior checkpoint of a lean "
+                         "history needs its operator")
     Rsq = problem.R ** 2
     Gamma = 0.0
     log_det = 0.0
@@ -440,7 +476,7 @@ def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
         Gamma += r.a * float(np.linalg.norm(r.g))
         log_det -= math.log1p(r.b * t)
     return SolverState(
-        k=k, x=rec.x.copy(), H=rec.H.copy(), Rsq=Rsq, c=rec.c.copy(),
+        k=k, x=rec.x.copy(), H=H.copy(), Rsq=Rsq, c=rec.c.copy(),
         sigma=rec.sigma, Gamma=Gamma, R0=problem.R, x0=problem.x0.copy(),
         log_det_H=log_det,
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class HalfspaceCut:
     offset: float
 
     def __post_init__(self):
-        if not np.any(self.normal) and self.offset < 0.0:
+        if self.offset < 0.0 and not np.any(self.normal):
             raise SlaterViolation(f"zero-normal cut with negative offset {self.offset:g}")
 
 
@@ -186,7 +187,8 @@ def support_value_xi(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
 
 
 def dual_multipliers(
-    H: np.ndarray, s: np.ndarray, cut1: HalfspaceCut, cut2: HalfspaceCut
+    H: Optional[np.ndarray], s: np.ndarray, cut1: HalfspaceCut, cut2: HalfspaceCut,
+    *, products: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[float, float]:
     """Optimal nonnegative multiplier pair for two linear cuts of an ellipsoid.
 
@@ -194,10 +196,11 @@ def dual_multipliers(
     case analysis: first each cut alone, then redundancy of one cut inside
     the other, then the sign test telling whether the single-cut optimizer
     already satisfies the remaining constraint, and finally the genuine
-    two-constraint stationary point.
+    two-constraint stationary point.  ``products`` is ``(H s, H a1, H a2)``
+    when the caller already has them; ``H`` is then not read.
     """
     a1, a2 = cut1.normal, cut2.normal
-    Hs, Ha1, Ha2 = H @ s, H @ a1, H @ a2
+    Hs, Ha1, Ha2 = products if products is not None else (H @ s, H @ a1, H @ a2)
     return _two_cut_gram(float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs),
                          float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2),
                          cut1.offset, cut2.offset)

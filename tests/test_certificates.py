@@ -1,19 +1,25 @@
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subell import certificates as certs
-from subell.linalg import dual_norm
+from subell.linalg import dual_norm, spd_inverse, symmetrize, top_eigenpair
 from subell.oracles import problem_from_dict
 from subell.solver import (
+    VARIANTS,
     Schedule,
     StrategyConfig,
     avg_radius,
+    operators_at,
     reconstruct_state,
     run,
     sliding_gap,
 )
+from subell.support import HalfspaceCut, _two_cut_gram, dual_multipliers
 
 from helpers import (
     ball_support_with_cuts,
@@ -24,6 +30,7 @@ from helpers import (
     vi_dual_gap,
     vi_problem,
 )
+from test_solver import FAMILIES
 
 
 def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0,
@@ -400,3 +407,195 @@ class TestScaleFreeTwoCutRegressions:
         got = certs.gap(report.certificate, res.records, prob.x0, prob.R)
         assert report.gap_bound is not None
         assert got <= report.gap_bound + 1e-9
+
+
+
+def _reference_augment(records, s_final, final_operator=None):
+    """The backward pass with every operator formed as a matrix: ``H_i`` from
+    the record, or rebuilt from its successor by inverting the rank-one
+    update, and the multipliers from ``dual_multipliers(D_i H_i, ...)``."""
+    mus = np.zeros(len(records))
+    s = np.asarray(s_final, dtype=float).copy()
+    H_next = final_operator
+    for i in reversed(range(len(records))):
+        rec = records[i]
+        if rec.H is not None:
+            H_i = rec.H
+        elif rec.b == 0.0:
+            H_i = H_next
+        else:
+            denom = 1.0 + rec.b * float(rec.g @ rec.Hg)
+            H_i = symmetrize(H_next + (rec.b / denom) * np.outer(rec.Hg, rec.Hg))
+        cut_model = HalfspaceCut(rec.c, rec.sigma - float(rec.c @ rec.z))
+        cut_step = HalfspaceCut(rec.g, float(rec.g @ (rec.x - rec.z)))
+        _, mu = dual_multipliers(rec.D * H_i, s, cut_model, cut_step)
+        mus[i] = mu
+        if mu != 0.0:
+            s = s - mu * rec.g
+        H_next = H_i
+    return mus, s
+
+
+_fraction = np.vectorize(Fraction, otypes=[object])
+
+
+def _exact_augment(records, s_final):
+    """The backward pass in exact rational arithmetic, taking the records'
+    floats as exact: ``H_i`` replayed from ``H_0 = I``, and ``H_i s``, ``s``
+    and the Gram scalars exact; only the scalars handed to the two-cut
+    kernel are rounded."""
+    H = _fraction(np.eye(len(s_final)))
+    operators = []
+    for rec in records:
+        operators.append(H)
+        if rec.b != 0.0:
+            hg, b = _fraction(rec.Hg), Fraction(rec.b)
+            H = H - np.outer(hg, hg) * (b / (1 + b * (_fraction(rec.g) @ hg)))
+    mus = np.zeros(len(records))
+    s = _fraction(np.asarray(s_final, dtype=float))
+    for i in reversed(range(len(records))):
+        rec, H = records[i], operators[i]
+        c, g = _fraction(rec.c), _fraction(rec.g)
+        Hs, Hc, Hg = H @ s, H @ c, H @ g
+        grams = (s @ Hs, c @ Hs, g @ Hs, c @ Hc, g @ Hg, c @ Hg)
+        _, mu = _two_cut_gram(*(float(Fraction(rec.D) * q) for q in grams),
+                              rec.sigma - float(rec.c @ rec.z),
+                              float(rec.g @ (rec.x - rec.z)))
+        mus[i] = mu
+        s = s - Fraction(mu) * g
+    return mus
+
+
+def _certificate_weights(augment, records, variant, state):
+    """Preliminary or min-width certificate weights of the records, built on
+    the given backward pass (``augment(records, s) -> mu``)."""
+    if variant == "ellipsoid":
+        _, d = top_eigenpair(spd_inverse(state.H))
+        return augment(records, d) + augment(records, -d)
+    prelim = np.array([rec.a for rec in records])
+    return prelim + augment(records, -sum(rec.a * rec.g for rec in records))
+
+
+def _assert_agrees(got, want, exact, gap_of=None):
+    """The rules for the matrix-free pass against the matrix pass ``want``:
+    the same support, max|got - want| <= 1e-12 max(want) and, for
+    certificates (``gap_of``), the gap within 1e-12 relative.  Per-weight
+    relative agreement is not asked: a weight far below the largest one
+    carries the rounding of the whole pass.
+
+    Where the two differ by more, the matrix pass itself is that far from
+    the exact pass (``exact()``, the ill-conditioned multiplier problems of
+    a near-collapsed metric or of a direction in the span of both cuts); the
+    matrix-free pass must then be as close to the exact pass as the matrix
+    pass, up to a factor 4."""
+    assert np.array_equal(got > 0.0, want > 0.0)
+    scale = want.max(initial=0.0)
+    if np.abs(got - want).max(initial=0.0) <= 1e-12 * scale:
+        if gap_of is not None:
+            assert abs(gap_of(got) - gap_of(want)) <= 1e-12 * abs(gap_of(want))
+        return
+    ref = exact()
+    assert (np.abs(got - ref).max()
+            <= 1e-12 * scale + 4.0 * np.abs(want - ref).max())
+
+
+def _gap_of(records, prob):
+    return lambda w: certs.gap(certs.Semicertificate.from_weights(w, records),
+                               records, prob.x0, prob.R)
+
+
+def _perfbench_problem(n):
+    """Problem 0 of seed 1 from the benchmark's generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return problem_from_dict(generate.max_affine_ball(1, n, 0))
+
+
+def _certify_lean(prob, variant, lean, k, H_k):
+    """The certificate ``subell certify`` builds at checkpoint k."""
+    if variant == "ellipsoid":
+        state_k = reconstruct_state(prob, lean.records, k, lean.state, operator=H_k)
+        return certs.certify_standard_ellipsoid(
+            lean.records[:k], state_k, prob.feasible.diameter,
+            prob.inner_radius, final_operator=H_k).certificate, state_k
+    return certs.certify_from_preliminary(lean.records[:k],
+                                          final_operator=H_k), None
+
+
+def _reference_mu(records, s):
+    return _reference_augment(records, s)[0]
+
+
+class TestMatrixFreeBackwardPass:
+    """``augment`` carries ``H_i s`` instead of forming ``H_i``; the matrix
+    pass above is its reference on full and lean histories."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_matrix_pass(self, family, variant):
+        rng = np.random.default_rng(60)
+        prob = FAMILIES[family](rng)
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        full = run(prob, config, 60)
+        lean = run(prob, config, 60, keep_operators=False)
+        ks = [1, 30, 60]
+        for k, H_k in zip(ks, operators_at(lean.records, ks)):
+            head = full.records[:k]
+            directions = [unit(rng, prob.dim)]
+            if variant != "ellipsoid":
+                directions.append(-sum(r.a * r.g for r in head))
+            for s in directions:
+                want = _reference_mu(head, s)
+                for records, op in ((head, None), (head, H_k),
+                                    (lean.records[:k], H_k)):
+                    got, _ = certs.augment(records, s, final_operator=op)
+                    ref, _ = _reference_augment(records, s, final_operator=op)
+                    for other in (want, ref):
+                        _assert_agrees(got, other,
+                                       lambda: _exact_augment(head, s))
+            cert, state_k = _certify_lean(prob, variant, lean, k, H_k)
+            _assert_agrees(
+                cert.weights,
+                _certificate_weights(_reference_mu, head, variant, state_k),
+                lambda: _certificate_weights(_exact_augment, head, variant, state_k),
+                _gap_of(head, prob))
+
+    def test_terminal_certificate_from_replayed_operator(self):
+        prob = max_affine_ball(np.random.default_rng(5), 3)
+        config = StrategyConfig.for_variant("ellipsoid-cert", 3,
+                                            delta_term=0.1 * prob.R)
+        full = run(prob, config, 2000)
+        lean = run(prob, config, 2000, keep_operators=False)
+        assert lean.termination == "gap-threshold"
+        (H_K,) = operators_at(lean.records, [len(lean.records)])
+        cert = certs.certify_from_preliminary(lean.records, terminal=True,
+                                              final_operator=H_K)
+        head, s = full.records[:-1], -full.records[-1].g
+        _assert_agrees(
+            cert.weights, np.append(_reference_mu(head, s), 1.0),
+            lambda: np.append(_exact_augment(head, s), 1.0),
+            _gap_of(full.records, prob))
+
+    @pytest.mark.parametrize("n, variant, ks", [
+        (100, "subgrad-ellipsoid", list(range(250, 2001, 250))),
+        (60, "ellipsoid", [2 ** j for j in range(11)] + [2000]),
+    ], ids=["certify-n100", "certify-minwidth-n60"])
+    def test_benchmark_problems(self, n, variant, ks):
+        # the benchmark's certify commands, lean as the CLI runs them,
+        # against the matrix pass on the full history; the exact pass
+        # would take minutes here, and the rules hold without it
+        prob = _perfbench_problem(n)
+        config = StrategyConfig.for_variant(variant, n, schedule=Schedule("decay"))
+        full = run(prob, config, 2000, collect_trace=False)
+        lean = run(prob, config, 2000, collect_trace=False, keep_operators=False)
+        for k, H_k in zip(ks, operators_at(lean.records, ks)):
+            cert, state_k = _certify_lean(prob, variant, lean, k, H_k)
+            head = full.records[:k]
+            _assert_agrees(
+                cert.weights,
+                _certificate_weights(_reference_mu, head, variant, state_k),
+                lambda: pytest.fail("outside the 1e-12 rules"),
+                _gap_of(head, prob))

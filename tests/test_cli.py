@@ -155,13 +155,10 @@ def test_compare_emits_regime_report(problem_path, tmp_path, capsys):
     assert "crossover" in printed
 
 
-@pytest.mark.parametrize("command, lean", [
-    ("solve", True), ("compare", True), ("certify", False),
-])
-def test_only_certify_keeps_operators(problem_path, tmp_path, monkeypatch,
-                                      command, lean):
-    # solve and compare read only the trace; certify rebuilds interior
-    # certificates from the operators on the history
+@pytest.mark.parametrize("command", ["solve", "compare", "certify"])
+def test_no_command_keeps_operators(problem_path, tmp_path, monkeypatch, command):
+    # solve and compare read only the trace; certify replays the operators
+    # at its checkpoints from the lean records
     real_run = subell.cli.run
     seen = []
 
@@ -174,10 +171,7 @@ def test_only_certify_keeps_operators(problem_path, tmp_path, monkeypatch,
                "--out", str(tmp_path / "out.csv")])
     assert rc == 0 and seen
     for kwargs in seen:
-        if lean:
-            assert kwargs.get("keep_operators") is False
-        else:
-            assert "keep_operators" not in kwargs
+        assert kwargs.get("keep_operators") is False
 
 
 def test_environment_variables_feed_defaults(problem_path, tmp_path, monkeypatch, capsys):

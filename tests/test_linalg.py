@@ -4,13 +4,20 @@ import pytest
 from subell.linalg import (
     PositiveDefinitenessLost,
     dual_norm,
-    rank_one_inverse_update,
     spd_inverse,
     symmetrize,
     top_eigenpair,
 )
+from subell.solver import _rank_one_update
 
 from helpers import random_spd
+
+
+def updated(H, g, b):
+    """Inverse of ``H^-1 + b g g^T`` through the solver's update, with the
+    product and denominator formed as ``step`` forms them."""
+    hg = H @ g
+    return _rank_one_update(H, hg, b, 1.0 + b * float(g @ hg))
 
 
 def test_dual_norm_unit_vector_under_identity():
@@ -49,12 +56,12 @@ def test_dual_norm_rejects_indefinite_form():
 
 def test_rank_one_update_noop_for_zero_weight():
     H = random_spd(np.random.default_rng(2), 3)
-    assert np.array_equal(rank_one_inverse_update(H, np.ones(3), 0.0), H)
+    assert np.array_equal(updated(H, np.ones(3), 0.0), H)
 
 
 def test_rank_one_update_scalar_case():
     H = np.array([[1.0]])
-    out = rank_one_inverse_update(H, np.array([1.0]), 1.0)
+    out = updated(H, np.array([1.0]), 1.0)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -65,14 +72,14 @@ def test_rank_one_update_is_exact_inverse():
         H = random_spd(rng, n)
         g = rng.standard_normal(n)
         b = float(rng.uniform(0, 4))
-        Hnew = rank_one_inverse_update(H, g, b)
+        Hnew = updated(H, g, b)
         target = spd_inverse(H) + b * np.outer(g, g)
         assert np.abs(Hnew @ target - np.eye(n)).max() <= 1e-10
 
 
 def test_rank_one_update_rejects_negative_weight():
     with pytest.raises(ValueError):
-        rank_one_inverse_update(np.eye(2), np.ones(2), -0.5)
+        updated(np.eye(2), np.ones(2), -0.5)
 
 
 def test_update_chain_determinant_identity():
@@ -87,17 +94,18 @@ def test_update_chain_determinant_identity():
             g = rng.standard_normal(n)
             b = float(rng.uniform(0, 2))
             log_expected += np.log1p(b * float(g @ (H @ g)))
-            H = rank_one_inverse_update(H, g, b)
+            H = updated(H, g, b)
         sign, logdet_G = np.linalg.slogdet(spd_inverse(H))
         assert sign > 0
         assert logdet_G == pytest.approx(log_expected, rel=1e-8, abs=1e-10)
 
 
 def test_symmetry_holds_exactly_after_updates():
+    # the update does not symmetrize: it preserves exact symmetry
     rng = np.random.default_rng(5)
-    H = random_spd(rng, 5)
+    H = symmetrize(random_spd(rng, 5))
     for _ in range(30):
-        H = rank_one_inverse_update(H, rng.standard_normal(5), float(rng.uniform(0, 1)))
+        H = updated(H, rng.standard_normal(5), float(rng.uniform(0, 1)))
         assert np.array_equal(H, H.T)
 
 

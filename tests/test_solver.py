@@ -11,12 +11,14 @@ from subell.solver import (
     VARIANTS,
     HistoryRecord,
     Schedule,
+    SolverState,
     StrategyConfig,
     avg_radius,
     delta_from_target,
     gamma_opt,
     initial_state,
     localizer_geometry,
+    operators_at,
     q_and_zeta,
     reconstruct_state,
     run,
@@ -529,8 +531,10 @@ FAMILIES = {
 
 class TestLeanHistory:
     """``keep_operators=False`` drops ``H`` from the records and changes
-    nothing else, and a trace row's objective value is ``f_value`` at the
-    recorded point exactly, whether the oracle or ``f_value`` formed it."""
+    nothing else: ``operators_at`` replays every operator bit for bit, and
+    ``reconstruct_state`` given it rebuilds the full-history state.  A trace
+    row's objective value is ``f_value`` at the recorded point exactly,
+    whether the oracle or ``f_value`` formed it."""
 
     @staticmethod
     def _assert_lean_matches_full(prob, config, iters):
@@ -549,6 +553,18 @@ class TestLeanHistory:
                                           getattr(a, field.name)), field.name
         assert np.array_equal(lean.state.x, full.state.x)
         assert np.array_equal(lean.state.H, full.state.H)
+        K = len(lean.records)
+        replayed = list(operators_at(lean.records, range(K + 1)))
+        for rec, H in zip(full.records, replayed):
+            assert np.array_equal(H, rec.H)
+        assert np.array_equal(replayed[K], full.state.H)
+        for k in sorted({0, 1, K // 2, K - 1, K}):
+            want = reconstruct_state(prob, full.records, k, full.state)
+            got = reconstruct_state(prob, lean.records, k, lean.state,
+                                    operator=replayed[k])
+            for field in fields(SolverState):
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name)), field.name
         for row, rec in zip(lean.rows, lean.records):
             assert row.f_value == prob.f_value(rec.x)
         return lean
