@@ -63,25 +63,16 @@ def spd_inverse(H: np.ndarray) -> np.ndarray:
 def top_eigenpair(G: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric PD matrix and a unit eigenvector.
 
-    Power iteration from the deterministic all-ones start (reproducible
-    certificates).  If the iteration cap is hit, e.g. because the two top
-    eigenvalues nearly tie, falls back to a full symmetric eigendecomposition.
+    Taken from the full symmetric eigendecomposition (``eigh``, which reads
+    one triangle of ``G``), with the sign fixed so that ``<v, 1> >= 0``, the
+    orientation power iteration from the all-ones start converges to; the
+    certificates stay reproducible.
 
-    Returns ``(lam, v)`` with ``|v| = 1`` and ``|G v - lam v| <= tol * lam``.
+    Returns ``(lam, v)`` with ``|v| = 1``.  ``tol`` is not used: the
+    residual ``|G v - lam v|`` is at round-off level, about ``n eps lam``.
     """
-    n = G.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    cap = max(50, int(10 * n * math.log(1.0 / tol)))
-    lam = 0.0
-    for _ in range(cap):
-        w = G @ v
-        lam = float(v @ w)
-        resid = w - lam * v
-        if np.linalg.norm(resid) <= tol * abs(lam):
-            return lam, v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    evals, evecs = np.linalg.eigh(symmetrize(G))
-    return float(evals[-1]), evecs[:, -1]
+    evals, evecs = np.linalg.eigh(G)
+    v = evecs[:, -1]
+    if v.sum() < 0.0:
+        v = -v
+    return float(evals[-1]), v

@@ -132,11 +132,12 @@ def test_top_eigenpair_against_characteristic_roots():
         lam, v = top_eigenpair(G, tol=1e-12)
         assert lam == pytest.approx(lam_max, rel=1e-8)
         assert np.linalg.norm(G @ v - lam * v) <= 1e-10 * lam
+        assert v.sum() >= 0.0  # the orientation of power iteration from all-ones
 
 
 def test_top_eigenpair_residual_contract_with_degenerate_spectrum():
-    # equal top eigenvalues stall plain power iteration; the fallback still
-    # must satisfy the residual contract
+    # equal top eigenvalues stall plain power iteration; the residual
+    # contract must still hold
     G = np.diag([3.0, 3.0, 1.0])
     lam, v = top_eigenpair(G, tol=1e-12)
     assert lam == pytest.approx(3.0, rel=1e-12)
