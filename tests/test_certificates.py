@@ -409,7 +409,6 @@ class TestScaleFreeTwoCutRegressions:
         assert got <= report.gap_bound + 1e-9
 
 
-
 def _reference_augment(records, s_final, final_operator=None):
     """The backward pass with every operator formed as a matrix: ``H_i`` from
     the record, or rebuilt from its successor by inverting the rank-one
