@@ -12,7 +12,7 @@ the subgradient cut of that step via the two-constraint multiplier routine,
 and fold the multiplier into the running direction.  The pass never forms
 an operator: after one O(n^2) matrix-vector product with the last operator
 it carries ``H_i s`` backward through the recorded rank-one updates, so each
-backward step costs O(n), on full-history and storage-lean records alike.
+backward step costs O(n).
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
     second multiplier) and replacing ``s_i = s_{i+1} - mu_i g_i``.
 
     The multiplier routine needs only ``H_i s``, ``H_i c_i = z_i - x_i`` and
-    ``H_i g_i`` (recorded).  ``v = H_i s`` starts from the last record's
-    operator, or from ``final_operator`` (the operator after the last
-    record, needed by lean records) stepped back one record, and then
+    ``H_i g_i`` (recorded).  ``v = H_i s`` starts from ``final_operator``
+    (the operator after the last record) stepped back one record, or else
+    from the last record's replayed operator ``records[-1].H``, and then
     follows ``s`` and the inverted rank-one updates in O(n) per step.
 
     Returns ``(mu, s_0)``.  The weights mu satisfy: the support of the
@@ -141,13 +141,11 @@ def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
     s = np.asarray(s_final, dtype=float).copy()
     if not records:
         return mus, s
-    if records[-1].H is not None:
-        v = records[-1].H @ s
-    elif final_operator is not None:
+    if final_operator is not None:
         v = final_operator @ s
         _step_back(v, records[-1], s)
     else:
-        raise ValueError("storage-lean history needs the final operator")
+        v = records[-1].H @ s
     for i in reversed(range(len(records))):
         rec = records[i]
         cut_model = HalfspaceCut(rec.c, rec.sigma - float(rec.c @ rec.z))
@@ -212,24 +210,23 @@ class MinWidthReport:
 def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
                                state: SolverState,
                                diameter: float,
-                               inner_radius: float,
-                               final_operator: Optional[np.ndarray] = None,
-                               ) -> MinWidthReport:
+                               inner_radius: float) -> MinWidthReport:
     """Min-width certificate for runs of the standard ellipsoid strategy.
 
     The direction of minimal width of the final ellipsoid is the top unit
-    eigenvector of the inverse metric's inverse; two backward passes (one
-    for the direction, one for its negation) produce weights whose gap over
-    the initial ball is at most 2 rho D / (r - rho), rho = 2 avrad, provided
-    rho < r.  When rho >= r the weights are still returned but the bound is
-    reported as vacuous (gap_bound None).
+    eigenvector of the inverse metric's inverse; two backward passes from
+    ``state.H``, the operator after the records (one for the direction, one
+    for its negation), produce weights whose gap over the initial ball is at
+    most 2 rho D / (r - rho), rho = 2 avrad, provided rho < r.  When
+    rho >= r the weights are still returned but the bound is reported as
+    vacuous (gap_bound None).
     """
     if not records:
         raise ValueError("cannot certify an empty history")
     G = spd_inverse(state.H)
     _, direction = top_eigenpair(G)
-    mu_fwd, _ = augment(records, direction, final_operator=final_operator)
-    mu_bwd, _ = augment(records, -direction, final_operator=final_operator)
+    mu_fwd, _ = augment(records, direction, final_operator=state.H)
+    mu_bwd, _ = augment(records, -direction, final_operator=state.H)
     cert = Semicertificate.from_weights(mu_fwd + mu_bwd, records)
     rho = 2.0 * avg_radius(state)
     bound = None

@@ -5,10 +5,10 @@ Every flag can also be supplied through an environment variable with the
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
 
-Every command runs with the lean O(k n) history, which keeps no operator
-``H_k``.  ``certify`` replays the operators it needs at its checkpoints
-(``operators_at``, one n x n operator at a time) and hands each to the
-certificate pass, whose backward steps are matrix-free.
+The solver's history keeps no operator ``H_k``.  ``certify`` replays the
+state at each checkpoint from the previous one (``reconstruct_state``, one
+n x n operator at a time) and hands its operator to the certificate pass,
+whose backward steps are matrix-free.
 
 Exit code 2 reports a load, validation or usage error and 3 a numerical
 failure of the solver or the certificate pass, on stderr without a traceback.
@@ -34,7 +34,6 @@ from .solver import (
     SolverBreakdown,
     StrategyConfig,
     delta_from_target,
-    operators_at,
     reconstruct_state,
     run,
     sliding_gap,
@@ -74,21 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
         if with_variant:
             p.add_argument("--variant", default=_env_default("variant", "subgrad-ellipsoid"),
                            choices=VARIANTS)
-        p.add_argument("--iters", type=int,
-                       default=int(_env_default("iters", 100)))
+        # string defaults go through ``type`` like a flag's value, so a
+        # malformed environment value is a usage error
+        p.add_argument("--iters", type=int, default=_env_default("iters", "100"))
         p.add_argument("--schedule", default=_env_default("schedule", "decay"),
                        help="step schedule: 'decay' or 'const:K'")
-        p.add_argument("--epsilon", type=float,
-                       default=(lambda v: float(v) if v is not None else None)(
-                           _env_default("epsilon")),
+        p.add_argument("--epsilon", type=float, default=_env_default("epsilon"),
                        help="target residual; sets the termination gap eps*r/(eps+V)")
-        p.add_argument("--delta", type=float,
-                       default=(lambda v: float(v) if v is not None else None)(
-                           _env_default("delta")),
+        p.add_argument("--delta", type=float, default=_env_default("delta"),
                        help="explicit termination gap (overrides --epsilon)")
         p.add_argument("--out", default=_env_default("out"),
                        help="output CSV path (summary goes next to it)")
-        p.add_argument("--seed", type=int, default=int(_env_default("seed", 0)),
+        p.add_argument("--seed", type=int, default=_env_default("seed", "0"),
                        help="seed recorded in output headers")
 
     ps = sub.add_parser("solve", help="run one variant, write trace and summary")
@@ -170,7 +166,7 @@ def _summary(problem, args, result, extra="") -> str:
 def cmd_solve(args) -> int:
     problem = _load(args)
     config, note = _config(args, problem)
-    result = run(problem, config, args.iters, keep_operators=False)
+    result = run(problem, config, args.iters)
     summary = _summary(problem, args, result, extra=note)
     if args.out:
         _write_csv(args.out, TRACE_COLUMNS, _trace_csv_rows(result.rows), args.seed)
@@ -201,7 +197,7 @@ def _checkpoints(cadence: str, total: int) -> list[int]:
 def cmd_certify(args) -> int:
     problem = _load(args)
     config, note = _config(args, problem)
-    result = run(problem, config, args.iters, keep_operators=False)
+    result = run(problem, config, args.iters)
     records = result.records
     terminal = result.termination in ("gap-threshold", "zero-subgradient")
 
@@ -209,26 +205,28 @@ def cmd_certify(args) -> int:
     cert_dump = []
     rows = list(result.rows)
     checkpoints = _checkpoints(args.cadence, len(records))
-    # H_k is the operator after the first k records; after a terminal record
-    # (b = 0) it is the operator before it, which the terminal pass needs
-    for k, H_k in zip(checkpoints, operators_at(records, checkpoints)):
+    # each checkpoint's state is replayed from the previous one; after a
+    # terminal run the last one is the state before the terminal record,
+    # whose operator the terminal pass needs
+    state_k = None
+    for k in checkpoints:
+        state_k = reconstruct_state(problem, records, k, result.state, start=state_k)
         at_end = k == len(records)
         rho = bound = None
         if at_end and terminal:
             pathway = "terminal"
             cert = certs.certify_from_preliminary(records, terminal=True,
-                                                  final_operator=H_k)
+                                                  final_operator=state_k.H)
         elif config.variant == VARIANT_ELLIPSOID:
             pathway = "min-width"
-            state_k = reconstruct_state(problem, records, k, result.state,
-                                        operator=H_k)
             report = certs.certify_standard_ellipsoid(
                 records[:k], state_k, problem.feasible.diameter,
-                problem.inner_radius, final_operator=H_k)
+                problem.inner_radius)
             cert, rho, bound = report.certificate, report.rho, report.gap_bound
         else:
             pathway = "preliminary"
-            cert = certs.certify_from_preliminary(records[:k], final_operator=H_k)
+            cert = certs.certify_from_preliminary(records[:k],
+                                                  final_operator=state_k.H)
         used = records if (at_end and terminal) else records[:k]
         g = certs.gap(cert, used, problem.x0, problem.R) \
             if cert.gamma_weighted > 0 else None
@@ -271,7 +269,7 @@ def cmd_compare(args) -> int:
     for v in variants:
         config = StrategyConfig.for_variant(v, problem.dim, schedule=schedule,
                                             delta_term=delta)
-        results[v] = run(problem, config, args.iters, keep_operators=False)
+        results[v] = run(problem, config, args.iters)
 
     depth = max(len(r.rows) for r in results.values())
     columns = ["k"]

@@ -21,15 +21,20 @@ subgradient-ellipsoid method (``theta = 2^(1/3) - 1``).
 
 Everything per iteration costs O(n^2): two matrix-vector products plus a
 rank-one update.  The per-step history recorded here is exactly what the
-certificate backward pass (module ``certificates``) needs.
+certificate backward pass (module ``certificates``) needs; it holds O(n)
+numbers per step and no operator.  Step 4 is stated once, in
+``_advance``: ``step`` applies it to the record it has just made and
+``reconstruct_state`` to the recorded steps, and ``HistoryRecord.H``
+replays its rank-one part (``_rank_one_update``), so a replayed state or
+operator equals the run's own bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -177,10 +182,11 @@ class SolverState:
 class HistoryRecord:
     """Snapshot taken at the start of an iteration, before the update.
 
-    Keeps the matrix-vector product ``Hg`` instead of the full operator:
-    with it the backward certificate pass carries ``H_i s`` from step to
-    step in O(n), and ``operators_at`` replays any ``H_k`` from ``H_0 = I``;
-    ``H`` itself is retained only in full-history mode.
+    Keeps the matrix-vector product ``Hg`` instead of the operator: with it
+    the backward certificate pass carries ``H_i s`` from step to step in
+    O(n), and ``_advance`` replays the update.  The records of a ``run``
+    also know their place in it, so ``H`` can replay the operator in force
+    when the step was taken.
     """
 
     x: np.ndarray
@@ -194,7 +200,22 @@ class HistoryRecord:
     sigma: float
     U: float
     productive: bool
-    H: Optional[np.ndarray] = None
+    # the record list of the run that made this record, set by ``run``
+    _records: Optional[list] = field(default=None, repr=False, compare=False)
+
+    @property
+    def H(self) -> np.ndarray:
+        """The operator ``H_k`` this step was taken with, replayed from
+        ``H_0 = I`` through the run's earlier records in O(k n^2) and not
+        cached.  Only the records of a ``run`` have it."""
+        if self._records is None:
+            raise ValueError("only a record made by run can replay its operator")
+        H = np.eye(self.x.shape[0])
+        for rec in self._records:
+            if rec is self:
+                return H
+            H = _rank_one_update(H, rec.Hg, rec.b, 1.0 + rec.b * float(rec.g @ rec.Hg))
+        raise ValueError("the record is no longer in its run's history")
 
 
 def initial_state(problem: Problem) -> SolverState:
@@ -255,8 +276,8 @@ def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
 
     With ``hg = H g`` and ``denom = 1 + b g.Hg`` this is the Sherman-Morrison
     inverse of ``H^-1 + b g g^T``; ``H`` itself is returned when ``b == 0``.
-    ``step`` and ``operators_at`` both update through here, so a replayed
-    operator equals the one the run formed bit for bit.
+    ``_advance`` and ``HistoryRecord.H`` both update through here, so a
+    replayed operator equals the one the run formed bit for bit.
     """
     if b < 0.0:
         raise ValueError(f"update weight must be nonnegative, got {b:g}")
@@ -271,9 +292,37 @@ def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
     return new_H
 
 
+def _advance(state: SolverState, rec: HistoryRecord,
+             gnorm: Optional[float] = None) -> SolverState:
+    """The state after the nonterminal step ``rec`` taken at ``state``.
+
+    Shifts the point along ``H g``, applies the rank-one update to ``H`` and
+    rolls the ``(R^2, c, sigma, Gamma, log det H)`` recurrences forward,
+    all from the recorded ``(g, a, b, Hg, U)``; ``gnorm`` is ``|g|`` when
+    the caller already has it.  The only statement of the update.
+    """
+    g, hg, a, b = rec.g, rec.Hg, rec.a, rec.b
+    if gnorm is None:
+        gnorm = float(np.linalg.norm(g))
+    t = float(g @ hg)
+    denom = 1.0 + b * t
+    shift = a + 0.5 * b * rec.U
+    return SolverState(
+        k=state.k + 1,
+        x=state.x - (shift / denom) * hg,
+        H=_rank_one_update(state.H, hg, b, denom),
+        Rsq=state.Rsq + shift ** 2 * t / denom,
+        c=state.c + a * g,
+        sigma=state.sigma + a * float(g @ state.x),
+        Gamma=state.Gamma + a * gnorm,
+        R0=state.R0,
+        x0=state.x0,
+        log_det_H=state.log_det_H - math.log1p(b * t),
+    )
+
+
 def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
-         keep_operator: bool = True, *, localizer=None
-         ) -> tuple[SolverState, HistoryRecord, bool]:
+         *, localizer=None) -> tuple[SolverState, HistoryRecord, bool]:
     """One iteration: record, test termination, update.
 
     ``U_k`` is the support of ``g_k`` over the localizer, and the step
@@ -281,15 +330,15 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     ``b_k = gamma / |g_k|_k^2``; the record carries all three.
     ``localizer`` is ``_localizer(state)`` when the caller already has it.
     Returns ``(new_state, record, terminal)``.  On a terminal iteration
-    (U_k <= delta |g_k|) the state is returned unchanged.
+    (U_k <= delta |g_k|, which a zero oracle vector always meets) the
+    weights are zero and the state is returned unchanged; otherwise the new
+    state is ``_advance(state, record)``.
     """
-    g = response.g
+    g = response.g.copy()
     hc, z, D = localizer if localizer is not None else _localizer(state)
     hg = state.H @ g
     U = _u_from_grams(state, g, hg, hc, z, D)
     gnorm = float(np.linalg.norm(g))
-    if gnorm <= 0.0:
-        raise ValueError("step needs a nonzero oracle vector")
 
     terminal = U <= config.delta_term * gnorm
     if terminal:
@@ -305,30 +354,12 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     # hg is a fresh product that nothing below writes to, so the record can
     # hold it without a copy
     record = HistoryRecord(
-        x=state.x.copy(), g=g.copy(), a=a, b=b, Hg=hg, z=z, D=D,
+        x=state.x.copy(), g=g, a=a, b=b, Hg=hg, z=z, D=D,
         c=state.c.copy(), sigma=state.sigma, U=U, productive=response.productive,
-        H=state.H.copy() if keep_operator else None,
     )
     if terminal:
         return state, record, True
-
-    t = float(g @ hg)
-    denom = 1.0 + b * t
-    coef = (a + 0.5 * b * U) / denom
-    new_x = state.x - coef * hg
-    new_state = SolverState(
-        k=state.k + 1,
-        x=new_x,
-        H=_rank_one_update(state.H, hg, b, denom),
-        Rsq=state.Rsq + (a + 0.5 * b * U) ** 2 * t / denom,
-        c=state.c + a * g,
-        sigma=state.sigma + a * float(g @ state.x),
-        Gamma=state.Gamma + a * gnorm,
-        R0=state.R0,
-        x0=state.x0,
-        log_det_H=state.log_det_H - math.log1p(b * t),
-    )
-    return new_state, record, False
+    return _advance(state, record, gnorm), record, False
 
 
 def sliding_gap(state: SolverState, *, localizer=None) -> float:
@@ -377,19 +408,18 @@ class RunResult:
 
 
 def run(problem: Problem, config: StrategyConfig, max_iter: int,
-        collect_trace: bool = True, keep_operators: bool = True) -> RunResult:
+        collect_trace: bool = True, keep_operators: bool = False) -> RunResult:
     """Drive the scheme against the composed oracle of a problem.
 
     Stops at ``max_iter``, at the gap test ``U_k <= delta_term |g_k|``, or
     when the oracle reports a zero vector (the test point is then an exact
     solution; the trailing history record carries it with unit certificate
-    weight semantics).
+    weight semantics).  The localizer is formed once per iteration and
+    shared by the step and the trace row.
 
-    By default each record also keeps its operator ``H_k`` (O(k n^2)
-    memory); ``keep_operators=False`` leaves it off, the storage-lean O(k n)
-    format, from which ``operators_at`` replays the same operators bit for
-    bit.  The localizer is formed once per iteration and shared by the step
-    and the trace row.
+    The history holds O(n) numbers per step and no operator; each record is
+    bound to the run, so ``record.H`` replays its operator on demand.
+    ``keep_operators`` is accepted for older callers and ignored.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -401,85 +431,40 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
         localizer = _localizer(state)
-        if not np.any(resp.g):
-            _, z, D = localizer
-            records.append(HistoryRecord(
-                x=state.x.copy(), g=resp.g.copy(), a=0.0, b=0.0,
-                Hg=np.zeros_like(resp.g), z=z, D=D, c=state.c.copy(),
-                sigma=state.sigma, U=0.0, productive=resp.productive,
-                H=state.H.copy() if keep_operators else None,
-            ))
-            if collect_trace:
-                rows.append(_trace_row(problem, config, state, resp, localizer,
-                                       time.perf_counter() - t_start))
-            termination = "zero-subgradient"
-            break
-        new_state, record, terminal = step(state, resp, config,
-                                           keep_operator=keep_operators,
-                                           localizer=localizer)
+        new_state, record, terminal = step(state, resp, config, localizer=localizer)
+        # records are frozen; the binding lets ``record.H`` find its predecessors
+        object.__setattr__(record, "_records", records)
         records.append(record)
         if collect_trace:
             rows.append(_trace_row(problem, config, state, resp, localizer,
                                    time.perf_counter() - t_start))
         if terminal:
-            termination = "gap-threshold"
+            termination = "gap-threshold" if np.any(resp.g) else "zero-subgradient"
             break
         state = new_state
     return RunResult(rows=rows, records=records, state=state, termination=termination)
 
 
-def operators_at(records: Sequence[HistoryRecord],
-                 ks: Iterable[int]) -> Iterator[np.ndarray]:
-    """Yield the operator ``H_k`` in force after the first k recorded steps,
-    for each k of the increasing sequence ``ks``.
-
-    Replays the recorded rank-one updates from ``H_0 = I`` through
-    ``_rank_one_update``, so each ``H_k`` equals the run's own operator bit
-    for bit; one n x n operator is held at a time.  A terminal record
-    carries ``b = 0``, so after it the replay still yields ``H_{K-1}``.
-    """
-    H = np.eye(records[0].x.shape[0])
-    done = 0
-    for k in ks:
-        for rec in records[done:k]:
-            H = _rank_one_update(H, rec.Hg, rec.b, 1.0 + rec.b * float(rec.g @ rec.Hg))
-        done = k
-        yield H
-
-
 def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
                       k: int, final_state: SolverState, *,
-                      operator: Optional[np.ndarray] = None) -> SolverState:
-    """State after the first k recorded steps, rebuilt from the history.
+                      start: Optional[SolverState] = None) -> SolverState:
+    """State after the first k recorded steps of a run.
 
-    The operator ``H_k`` is ``operator`` when given (e.g. from
-    ``operators_at``), else the one on ``records[k]``, so lean records need
-    ``operator`` unless k equals the total number of recorded steps.  The
-    scalar recurrences are replayed from the recorded (a, b, U, Hg) data.
+    ``final_state`` when k is the number of records; otherwise the records
+    from ``start`` (default: the initial state) up to k replayed through
+    ``_advance``, which equals the run's own state bit for bit.  Chaining
+    increasing checkpoints through ``start`` replays each record once, in
+    O(n^2) per record.
     """
     if k == len(records):
         return final_state
-    if not 0 <= k < len(records):
-        raise ValueError(f"checkpoint {k} outside the recorded range")
-    rec = records[k]
-    H = operator if operator is not None else rec.H
-    if H is None:
-        raise ValueError("reconstruction at an interior checkpoint of a lean "
-                         "history needs its operator")
-    Rsq = problem.R ** 2
-    Gamma = 0.0
-    log_det = 0.0
-    for r in records[:k]:
-        t = float(r.g @ r.Hg)
-        denom = 1.0 + r.b * t
-        Rsq += (r.a + 0.5 * r.b * r.U) ** 2 * t / denom
-        Gamma += r.a * float(np.linalg.norm(r.g))
-        log_det -= math.log1p(r.b * t)
-    return SolverState(
-        k=k, x=rec.x.copy(), H=H.copy(), Rsq=Rsq, c=rec.c.copy(),
-        sigma=rec.sigma, Gamma=Gamma, R0=problem.R, x0=problem.x0.copy(),
-        log_det_H=log_det,
-    )
+    state = initial_state(problem) if start is None else start
+    if not state.k <= k < len(records):
+        raise ValueError(f"checkpoint {k} outside the recorded range "
+                         f"[{state.k}, {len(records)}]")
+    for rec in records[state.k:k]:
+        state = _advance(state, rec)
+    return state
 
 
 def _trace_row(problem, config, state, resp, localizer, elapsed_s) -> TraceRow:

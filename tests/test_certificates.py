@@ -14,7 +14,6 @@ from subell.solver import (
     Schedule,
     StrategyConfig,
     avg_radius,
-    operators_at,
     reconstruct_state,
     run,
     sliding_gap,
@@ -33,12 +32,11 @@ from helpers import (
 from test_solver import FAMILIES
 
 
-def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0,
-         keep=True):
+def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0):
     config = StrategyConfig.for_variant(
         variant, prob.dim,
         schedule=schedule or Schedule("decay"), delta_term=delta)
-    return config, run(prob, config, iters, keep_operators=keep)
+    return config, run(prob, config, iters)
 
 
 def _xhat(cert, records):
@@ -89,25 +87,23 @@ class TestAugment:
         })
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 2,
                                             schedule=Schedule("const", 100))
-        full = run(prob, config, 5, keep_operators=True)
-        lean = run(prob, config, 5, keep_operators=False)
-        assert all(np.array_equal(r.g, a) for r in full.records)
-        mus_full, _ = certs.augment(full.records, -a)
-        mus_lean, _ = certs.augment(lean.records, -a,
-                                    final_operator=lean.state.H)
-        assert np.abs(mus_full - mus_lean).max() <= 1e-10
+        res = run(prob, config, 5)
+        assert all(np.array_equal(r.g, a) for r in res.records)
+        # from the last record's replayed operator, or from the final one
+        mus_record, _ = certs.augment(res.records, -a)
+        mus_final, _ = certs.augment(res.records, -a, final_operator=res.state.H)
+        assert np.abs(mus_record - mus_final).max() <= 1e-10
 
     def test_lean_and_full_history_agree_on_generic_run(self):
         rng = np.random.default_rng(2)
         prob = max_affine_ball(rng, 3)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 3,
                                             schedule=Schedule("decay"))
-        full = run(prob, config, 20, keep_operators=True)
-        lean = run(prob, config, 20, keep_operators=False)
+        res = run(prob, config, 20)
         s = unit(rng, 3)
-        mus_full, _ = certs.augment(full.records, s)
-        mus_lean, _ = certs.augment(lean.records, s, final_operator=lean.state.H)
-        assert np.abs(mus_full - mus_lean).max() <= 1e-10
+        mus_record, _ = certs.augment(res.records, s)
+        mus_final, _ = certs.augment(res.records, s, final_operator=res.state.H)
+        assert np.abs(mus_record - mus_final).max() <= 1e-10
 
 
 class TestCertifyFromPreliminary:
@@ -313,8 +309,7 @@ class TestEndToEndTarget:
         prob = max_affine_ball(rng, 50, m=12)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 50,
                                             schedule=Schedule("decay"))
-        res = run(prob, config, 1000, collect_trace=False,
-                  keep_operators=False)
+        res = run(prob, config, 1000, collect_trace=False)
         assert res.termination == "max-iter"
         assert all(rec.D > 0 and rec.U >= -1e-12 for rec in res.records)
         assert np.array_equal(res.state.H, res.state.H.T)
@@ -409,18 +404,17 @@ class TestScaleFreeTwoCutRegressions:
         assert got <= report.gap_bound + 1e-9
 
 
-def _reference_augment(records, s_final, final_operator=None):
-    """The backward pass with every operator formed as a matrix: ``H_i`` from
-    the record, or rebuilt from its successor by inverting the rank-one
-    update, and the multipliers from ``dual_multipliers(D_i H_i, ...)``."""
+def _reference_augment(records, s_final, final_operator):
+    """The backward pass with every operator formed as a matrix: ``H_i``
+    rebuilt from its successor by inverting the rank-one update, starting
+    from ``final_operator``, and the multipliers from
+    ``dual_multipliers(D_i H_i, ...)``."""
     mus = np.zeros(len(records))
     s = np.asarray(s_final, dtype=float).copy()
     H_next = final_operator
     for i in reversed(range(len(records))):
         rec = records[i]
-        if rec.H is not None:
-            H_i = rec.H
-        elif rec.b == 0.0:
+        if rec.b == 0.0:
             H_i = H_next
         else:
             denom = 1.0 + rec.b * float(rec.g @ rec.Hg)
@@ -512,24 +506,33 @@ def _perfbench_problem(n):
     return problem_from_dict(generate.max_affine_ball(1, n, 0))
 
 
-def _certify_lean(prob, variant, lean, k, H_k):
-    """The certificate ``subell certify`` builds at checkpoint k."""
+def _checkpoint_states(prob, res, ks):
+    """The states at the checkpoints ``ks``, chained as ``subell certify``
+    replays them."""
+    state = None
+    for k in ks:
+        state = reconstruct_state(prob, res.records, k, res.state, start=state)
+        yield state
+
+
+def _certify_at(prob, variant, records, state_k):
+    """The certificate ``subell certify`` builds from the first k records,
+    given the state ``state_k`` after them."""
+    head = records[:state_k.k]
     if variant == "ellipsoid":
-        state_k = reconstruct_state(prob, lean.records, k, lean.state, operator=H_k)
         return certs.certify_standard_ellipsoid(
-            lean.records[:k], state_k, prob.feasible.diameter,
-            prob.inner_radius, final_operator=H_k).certificate, state_k
-    return certs.certify_from_preliminary(lean.records[:k],
-                                          final_operator=H_k), None
+            head, state_k, prob.feasible.diameter, prob.inner_radius).certificate
+    return certs.certify_from_preliminary(head, final_operator=state_k.H)
 
 
-def _reference_mu(records, s):
-    return _reference_augment(records, s)[0]
+def _reference_mu(final_operator):
+    return lambda records, s: _reference_augment(records, s, final_operator)[0]
 
 
 class TestMatrixFreeBackwardPass:
     """``augment`` carries ``H_i s`` instead of forming ``H_i``; the matrix
-    pass above is its reference on full and lean histories."""
+    pass above is its reference, started from the checkpoint's operator as
+    ``augment`` is, or from the last record's replayed operator."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -538,27 +541,20 @@ class TestMatrixFreeBackwardPass:
         prob = FAMILIES[family](rng)
         config = StrategyConfig.for_variant(variant, prob.dim,
                                             schedule=Schedule("decay"))
-        full = run(prob, config, 60)
-        lean = run(prob, config, 60, keep_operators=False)
-        ks = [1, 30, 60]
-        for k, H_k in zip(ks, operators_at(lean.records, ks)):
-            head = full.records[:k]
+        res = run(prob, config, 60)
+        for state_k in _checkpoint_states(prob, res, [1, 30, 60]):
+            head, reference = res.records[:state_k.k], _reference_mu(state_k.H)
             directions = [unit(rng, prob.dim)]
             if variant != "ellipsoid":
                 directions.append(-sum(r.a * r.g for r in head))
             for s in directions:
-                want = _reference_mu(head, s)
-                for records, op in ((head, None), (head, H_k),
-                                    (lean.records[:k], H_k)):
-                    got, _ = certs.augment(records, s, final_operator=op)
-                    ref, _ = _reference_augment(records, s, final_operator=op)
-                    for other in (want, ref):
-                        _assert_agrees(got, other,
-                                       lambda: _exact_augment(head, s))
-            cert, state_k = _certify_lean(prob, variant, lean, k, H_k)
+                want = reference(head, s)
+                for op in (None, state_k.H):
+                    got, _ = certs.augment(head, s, final_operator=op)
+                    _assert_agrees(got, want, lambda: _exact_augment(head, s))
             _assert_agrees(
-                cert.weights,
-                _certificate_weights(_reference_mu, head, variant, state_k),
+                _certify_at(prob, variant, res.records, state_k).weights,
+                _certificate_weights(reference, head, variant, state_k),
                 lambda: _certificate_weights(_exact_augment, head, variant, state_k),
                 _gap_of(head, prob))
 
@@ -566,35 +562,35 @@ class TestMatrixFreeBackwardPass:
         prob = max_affine_ball(np.random.default_rng(5), 3)
         config = StrategyConfig.for_variant("ellipsoid-cert", 3,
                                             delta_term=0.1 * prob.R)
-        full = run(prob, config, 2000)
-        lean = run(prob, config, 2000, keep_operators=False)
-        assert lean.termination == "gap-threshold"
-        (H_K,) = operators_at(lean.records, [len(lean.records)])
-        cert = certs.certify_from_preliminary(lean.records, terminal=True,
-                                              final_operator=H_K)
-        head, s = full.records[:-1], -full.records[-1].g
+        res = run(prob, config, 2000)
+        assert res.termination == "gap-threshold"
+        # the operator before the terminal record, replayed from scratch
+        H_last = reconstruct_state(prob, res.records, len(res.records) - 1,
+                                   res.state).H
+        assert np.array_equal(H_last, res.state.H)
+        cert = certs.certify_from_preliminary(res.records, terminal=True,
+                                              final_operator=H_last)
+        head, s = res.records[:-1], -res.records[-1].g
         _assert_agrees(
-            cert.weights, np.append(_reference_mu(head, s), 1.0),
+            cert.weights, np.append(_reference_mu(H_last)(head, s), 1.0),
             lambda: np.append(_exact_augment(head, s), 1.0),
-            _gap_of(full.records, prob))
+            _gap_of(res.records, prob))
 
     @pytest.mark.parametrize("n, variant, ks", [
         (100, "subgrad-ellipsoid", list(range(250, 2001, 250))),
         (60, "ellipsoid", [2 ** j for j in range(11)] + [2000]),
     ], ids=["certify-n100", "certify-minwidth-n60"])
     def test_benchmark_problems(self, n, variant, ks):
-        # the benchmark's certify commands, lean as the CLI runs them,
-        # against the matrix pass on the full history; the exact pass
-        # would take minutes here, and the rules hold without it
+        # the benchmark's certify commands as the CLI runs them, against
+        # the matrix pass; the exact pass would take minutes here, and the
+        # rules hold without it
         prob = _perfbench_problem(n)
         config = StrategyConfig.for_variant(variant, n, schedule=Schedule("decay"))
-        full = run(prob, config, 2000, collect_trace=False)
-        lean = run(prob, config, 2000, collect_trace=False, keep_operators=False)
-        for k, H_k in zip(ks, operators_at(lean.records, ks)):
-            cert, state_k = _certify_lean(prob, variant, lean, k, H_k)
-            head = full.records[:k]
+        res = run(prob, config, 2000, collect_trace=False)
+        for state_k in _checkpoint_states(prob, res, ks):
+            head = res.records[:state_k.k]
             _assert_agrees(
-                cert.weights,
-                _certificate_weights(_reference_mu, head, variant, state_k),
+                _certify_at(prob, variant, res.records, state_k).weights,
+                _certificate_weights(_reference_mu(state_k.H), head, variant, state_k),
                 lambda: pytest.fail("outside the 1e-12 rules"),
                 _gap_of(head, prob))

@@ -155,25 +155,6 @@ def test_compare_emits_regime_report(problem_path, tmp_path, capsys):
     assert "crossover" in printed
 
 
-@pytest.mark.parametrize("command", ["solve", "compare", "certify"])
-def test_no_command_keeps_operators(problem_path, tmp_path, monkeypatch, command):
-    # solve and compare read only the trace; certify replays the operators
-    # at its checkpoints from the lean records
-    real_run = subell.cli.run
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs)
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(subell.cli, "run", spy)
-    rc = main([command, "--problem", problem_path, "--iters", "20",
-               "--out", str(tmp_path / "out.csv")])
-    assert rc == 0 and seen
-    for kwargs in seen:
-        assert kwargs.get("keep_operators") is False
-
-
 def test_environment_variables_feed_defaults(problem_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUBELL_PROBLEM", problem_path)
     monkeypatch.setenv("SUBELL_ITERS", "7")
@@ -183,6 +164,26 @@ def test_environment_variables_feed_defaults(problem_path, tmp_path, monkeypatch
     # explicit flags win over the environment
     rc = main(["solve", "--iters", "3"])
     assert rc == 0
+    assert "iterations: 3 (requested 3)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ITERS", "abc"), ("SEED", "1.5"), ("EPSILON", "0.1x"), ("DELTA", "x"),
+])
+def test_malformed_environment_value_is_a_usage_error(problem_path, monkeypatch,
+                                                      capsys, name, value):
+    monkeypatch.setenv("SUBELL_" + name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", problem_path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"--{name.lower()}" in err and repr(value) in err
+
+
+def test_flag_wins_over_malformed_environment_value(problem_path, monkeypatch, capsys):
+    monkeypatch.setenv("SUBELL_ITERS", "abc")
+    assert main(["solve", "--problem", problem_path, "--iters", "3"]) == 0
     assert "iterations: 3 (requested 3)" in capsys.readouterr().out
 
 

@@ -18,7 +18,6 @@ from subell.solver import (
     gamma_opt,
     initial_state,
     localizer_geometry,
-    operators_at,
     q_and_zeta,
     reconstruct_state,
     run,
@@ -228,6 +227,20 @@ class TestStep:
         assert np.allclose(new_state.H, want_H, atol=1e-14)
         # squared-radius growth n^2/(n^2-1) = 4/3 at n = 2
         assert new_state.Rsq == pytest.approx((4.0 / 3.0) * state.Rsq, rel=1e-14)
+
+    @pytest.mark.parametrize("steps_before", [0, 1])
+    def test_zero_oracle_vector_is_terminal(self, steps_before):
+        prob = max_affine_ball(np.random.default_rng(26), 3)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 3,
+                                            schedule=Schedule("decay"))
+        state = initial_state(prob)
+        for _ in range(steps_before):
+            state, _, _ = step(state, prob.oracle(state.x), config)
+        new_state, rec, terminal = step(
+            state, OracleResponse(g=np.zeros(3), productive=True), config)
+        assert terminal and new_state is state
+        assert rec.a == rec.b == rec.U == 0.0
+        assert not np.any(rec.Hg)
 
     def test_gap_threshold_termination(self):
         prob = max_affine_ball(np.random.default_rng(10), 2)
@@ -530,41 +543,57 @@ FAMILIES = {
 
 
 class TestLeanHistory:
-    """``keep_operators=False`` drops ``H`` from the records and changes
-    nothing else: ``operators_at`` replays every operator bit for bit, and
-    ``reconstruct_state`` given it rebuilds the full-history state.  A trace
-    row's objective value is ``f_value`` at the recorded point exactly,
-    whether the oracle or ``f_value`` formed it."""
+    """The history keeps no operator, and every replay goes through the
+    update ``step`` applies.  ``run`` takes the steps of a bare ``step``
+    loop (with or without the ignored ``keep_operators``), and
+    ``reconstruct_state`` at every k, from scratch and chained through
+    ``start=``, equals field by field the state that loop passed through;
+    ``rec.H`` is that state's operator.  A trace row's objective value is
+    ``f_value`` at the recorded point exactly, whether the oracle or
+    ``f_value`` formed it."""
 
     @staticmethod
-    def _assert_lean_matches_full(prob, config, iters):
-        full = run(prob, config, iters)
-        lean = run(prob, config, iters, keep_operators=False)
-        assert lean.termination == full.termination
-        assert len(lean.rows) == len(full.rows) == len(full.records)
-        for a, b in zip(full.rows, lean.rows):
+    def _assert_same_state(got, want):
+        for field in fields(SolverState):
+            assert np.array_equal(getattr(got, field.name),
+                                  getattr(want, field.name)), field.name
+
+    @classmethod
+    def _assert_lean_matches_full(cls, prob, config, iters):
+        state = initial_state(prob)
+        states, stepped = [state], []
+        for _ in range(iters):
+            state, rec, terminal = step(state, prob.oracle(state.x), config)
+            stepped.append(rec)
+            if terminal:
+                break
+            states.append(state)
+        with pytest.raises(ValueError, match="made by run"):
+            stepped[0].H
+
+        lean = run(prob, config, iters)
+        kept = run(prob, config, iters, keep_operators=True)
+        for a, b in zip(kept.rows, lean.rows):
             assert replace(b, wall_time_us=0.0) == replace(a, wall_time_us=0.0)
-        assert len(lean.records) == len(full.records)
-        for a, b in zip(full.records, lean.records):
-            assert a.H is not None and b.H is None
+        K = len(lean.records)
+        assert len(lean.rows) == K == len(stepped) == len(kept.records)
+        for a, b in zip(stepped, lean.records):
             for field in fields(HistoryRecord):
-                if field.name != "H":
+                if field.compare:
                     assert np.array_equal(getattr(b, field.name),
                                           getattr(a, field.name)), field.name
-        assert np.array_equal(lean.state.x, full.state.x)
-        assert np.array_equal(lean.state.H, full.state.H)
-        K = len(lean.records)
-        replayed = list(operators_at(lean.records, range(K + 1)))
-        for rec, H in zip(full.records, replayed):
-            assert np.array_equal(H, rec.H)
-        assert np.array_equal(replayed[K], full.state.H)
-        for k in sorted({0, 1, K // 2, K - 1, K}):
-            want = reconstruct_state(prob, full.records, k, full.state)
-            got = reconstruct_state(prob, lean.records, k, lean.state,
-                                    operator=replayed[k])
-            for field in fields(SolverState):
-                assert np.array_equal(getattr(got, field.name),
-                                      getattr(want, field.name)), field.name
+        cls._assert_same_state(lean.state, states[-1])
+
+        chained = None
+        for k in range(K + 1):
+            want = states[min(k, len(states) - 1)]
+            cls._assert_same_state(
+                reconstruct_state(prob, lean.records, k, lean.state), want)
+            chained = reconstruct_state(prob, lean.records, k, lean.state,
+                                        start=chained)
+            cls._assert_same_state(chained, want)
+        for k in sorted({0, K // 2, K - 1}):
+            assert np.array_equal(lean.records[k].H, states[k].H)
         for row, rec in zip(lean.rows, lean.records):
             assert row.f_value == prob.f_value(rec.x)
         return lean
