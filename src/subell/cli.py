@@ -21,6 +21,8 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,16 +46,24 @@ TRACE_COLUMNS = ("k", "variant", "productive", "f_value", "sliding_gap",
                  "cert_gap", "R_k", "avrad", "Gamma_k", "wall_time_us")
 CERT_COLUMNS = ("k", "pathway", "Gamma_lambda", "S_lambda", "gap", "residual",
                 "rho", "gap_bound")
+CSV_BLOCK_ROWS = 1000  # rows formatted and written per block
+
+
+def _cell_format(kind: type) -> str:
+    """The %-format of one cell of type ``kind``: empty for None, 1/0 for a
+    bool, 17 significant digits for a float (numpy's float64 included) and
+    ``str`` for anything else."""
+    if kind is type(None):
+        return "%.0s"
+    if kind is bool:
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%s"
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return _cell_format(type(value)) % (value,)
 
 
 def _env_default(name: str, fallback=None):
@@ -113,10 +123,15 @@ def _load(args):
 
 def _delta_term(args, problem) -> tuple[float, str]:
     if args.delta is not None:
+        if not (math.isfinite(args.delta) and args.delta >= 0.0):
+            raise ValueError(f"--delta must be a finite number >= 0, got {args.delta!r}")
         return args.delta, f"delta_term: {_fmt(float(args.delta))} (explicit)"
     if args.epsilon is not None:
-        d = delta_from_target(args.epsilon, problem.inner_radius,
-                              problem.variation_bound)
+        try:
+            d = delta_from_target(args.epsilon, problem.inner_radius,
+                                  problem.variation_bound)
+        except ValueError as exc:
+            raise ValueError(f"--epsilon {args.epsilon!r}: {exc}") from exc
         return d, (f"epsilon_target: {_fmt(float(args.epsilon))}\n"
                    f"delta_term: {_fmt(d)} (= eps*r/(eps+V))")
     return 0.0, "delta_term: 0 (early termination disabled)"
@@ -130,17 +145,31 @@ def _config(args, problem) -> tuple[StrategyConfig, str]:
 
 
 def _write_csv(path, columns, rows, seed) -> None:
+    """Write tuples of cells as CSV under a ``# seed=`` line and a header.
+
+    Each cell reads as ``_fmt`` gives it.  A row is formatted whole, with
+    one %-format per sequence of cell types, and the rows go out in blocks
+    of ``CSV_BLOCK_ROWS``, so the file is never held in memory at once.
+    """
+    formats = {}
+
+    def line(row):
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+        return fmt % row
+
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={seed}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while block := [line(row) for row in islice(rows, CSV_BLOCK_ROWS)]:
+            fh.write("".join(block))
 
 
-def _trace_csv_rows(rows):
-    for r in rows:
-        yield (r.k, r.variant, r.productive, r.f_value, r.sliding_gap,
-               r.cert_gap, r.R_k, r.avrad, r.Gamma_k, r.wall_time_us)
+# a trace row's cells in TRACE_COLUMNS order, as one tuple
+_trace_cells = attrgetter(*TRACE_COLUMNS)
 
 
 def _summary(problem, args, result, extra="") -> str:
@@ -169,7 +198,7 @@ def cmd_solve(args) -> int:
     result = run(problem, config, args.iters)
     summary = _summary(problem, args, result, extra=note)
     if args.out:
-        _write_csv(args.out, TRACE_COLUMNS, _trace_csv_rows(result.rows), args.seed)
+        _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, result.rows), args.seed)
         with open(args.out + ".summary.txt", "w", encoding="utf-8") as fh:
             fh.write(summary)
     sys.stdout.write(summary)
@@ -246,7 +275,7 @@ def cmd_certify(args) -> int:
         summary += f"final_cert_gap: {_fmt(cert_rows[-1][4])}\n"
         summary += f"final_cert_residual: {_fmt(cert_rows[-1][5])}\n"
     if args.out:
-        _write_csv(args.out, TRACE_COLUMNS, _trace_csv_rows(rows), args.seed)
+        _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, rows), args.seed)
         _write_csv(args.out + ".certs.csv", CERT_COLUMNS, cert_rows, args.seed)
         import json
         with open(args.out + ".certs.json", "w", encoding="utf-8") as fh:
@@ -259,6 +288,8 @@ def cmd_certify(args) -> int:
 def cmd_compare(args) -> int:
     problem = _load(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ValueError(f"--variants names no variant: {args.variants!r}")
     for v in variants:
         if v not in VARIANTS:
             raise ProblemFormatError(f"unknown variant {v!r}")

@@ -22,6 +22,7 @@ on load and violations fail loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +35,10 @@ class ProblemFormatError(ValueError):
     """A problem file or descriptor violates the schema or an invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OracleResponse:
-    """Oracle answer at a test point.
+    """Oracle answer at a test point; a plain mutable dataclass, built once
+    per oracle call.
 
     ``g`` is a subgradient / field value if ``productive`` (point interior to
     Q), otherwise a nonzero separator.  A zero ``g`` on a productive step
@@ -61,9 +63,9 @@ def separation_ball(x: np.ndarray, center: np.ndarray, radius: float) -> OracleR
     ``<x - center, x - y> >= 0``.
     """
     g = x - center
-    if float(np.linalg.norm(g)) < radius:
+    if math.sqrt(float(g @ g)) < radius:
         raise ValueError("separation oracle called with an interior point")
-    return OracleResponse(g=g, productive=False)
+    return OracleResponse(g, False)
 
 
 def separation_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> OracleResponse:
@@ -79,7 +81,7 @@ def separation_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> Oracl
         raise ValueError("separation oracle called with an interior point")
     g = np.zeros_like(x)
     g[j] = 1.0 if over[j] >= under[j] else -1.0
-    return OracleResponse(g=g, productive=False)
+    return OracleResponse(g, False)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,9 @@ class Ball:
     radius: float
 
     def contains_interior(self, x: np.ndarray) -> bool:
-        return float(np.linalg.norm(x - self.center)) < self.radius
+        # sqrt(d.d) is np.linalg.norm(d) bit for bit, without its overhead
+        d = x - self.center
+        return math.sqrt(float(d @ d)) < self.radius
 
     def separator(self, x: np.ndarray) -> OracleResponse:
         return separation_ball(x, self.center, self.radius)
@@ -174,7 +178,7 @@ class BallProduct:
             g[: self.dim_u] = u - self.center_u
         else:
             g[self.dim_u:] = v - self.center_v
-        return OracleResponse(g=g, productive=False)
+        return OracleResponse(g, False)
 
     @property
     def inner_center(self) -> np.ndarray:
@@ -216,7 +220,7 @@ class MaxAffine:
         """f(x) and the first maximizing row, from one product A x: the
         smallest-index tie-break keeps runs deterministic."""
         v = self.A @ x + self.offsets
-        j = int(np.argmax(v))
+        j = int(v.argmax())
         return float(v[j]), self.A[j].copy()
 
     def value(self, x: np.ndarray) -> float:
@@ -332,8 +336,8 @@ def composed_oracle(problem: Problem, x: np.ndarray) -> OracleResponse:
         return problem.feasible.separator(x)
     if problem.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
         f, g = problem.objective.value_and_subgrad(x)
-        return OracleResponse(g=g, productive=True, f=f)
-    return OracleResponse(g=problem.objective.field(x), productive=True)
+        return OracleResponse(g, True, f)
+    return OracleResponse(problem.objective.field(x), True)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,8 @@ def q_and_zeta(c: float, p: float, gamma: float) -> tuple[float, float]:
 
 def delta_from_target(epsilon: float, r: float, V: float) -> float:
     """Gap threshold guaranteeing residual <= epsilon: eps*r / (eps + V)."""
+    if not (math.isfinite(epsilon) and math.isfinite(r) and math.isfinite(V)):
+        raise ValueError("need finite epsilon, r and V")
     if epsilon <= 0 or r <= 0 or V < 0:
         raise ValueError("need epsilon > 0, r > 0, V >= 0")
     return epsilon * r / (epsilon + V)
@@ -162,7 +164,7 @@ class StrategyConfig:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Per-iteration state: everything the next step needs, O(n^2) memory."""
 
@@ -178,15 +180,21 @@ class SolverState:
     log_det_H: float = 0.0
 
 
-@dataclass(frozen=True)
+# ``HistoryRecord._prev`` of the first record of a run
+_RUN_START = object()
+
+
+@dataclass(slots=True)
 class HistoryRecord:
     """Snapshot taken at the start of an iteration, before the update.
 
     Keeps the matrix-vector product ``Hg`` instead of the operator: with it
     the backward certificate pass carries ``H_i s`` from step to step in
-    O(n), and ``_advance`` replays the update.  The records of a ``run``
-    also know their place in it, so ``H`` can replay the operator in force
-    when the step was taken.
+    O(n), and ``_advance`` replays the update.  Records are plain mutable
+    dataclasses, built once per step; after ``step`` builds one, only
+    ``run`` writes to it, to link it to the run's previous record.  With
+    that link ``H`` replays the operator in force when the step was taken;
+    the links run one way only, so a dropped history is freed at once.
     """
 
     x: np.ndarray
@@ -200,22 +208,26 @@ class HistoryRecord:
     sigma: float
     U: float
     productive: bool
-    # the record list of the run that made this record, set by ``run``
-    _records: Optional[list] = field(default=None, repr=False, compare=False)
+    # the run's previous record (``_RUN_START`` for its first), set by
+    # ``run``; None for a record made by a bare ``step``
+    _prev: object = field(default=None, repr=False, compare=False)
 
     @property
     def H(self) -> np.ndarray:
         """The operator ``H_k`` this step was taken with, replayed from
         ``H_0 = I`` through the run's earlier records in O(k n^2) and not
         cached.  Only the records of a ``run`` have it."""
-        if self._records is None:
+        if self._prev is None:
             raise ValueError("only a record made by run can replay its operator")
+        earlier = []
+        rec = self._prev
+        while rec is not _RUN_START:
+            earlier.append(rec)
+            rec = rec._prev
         H = np.eye(self.x.shape[0])
-        for rec in self._records:
-            if rec is self:
-                return H
+        for rec in reversed(earlier):
             H = _rank_one_update(H, rec.Hg, rec.b, 1.0 + rec.b * float(rec.g @ rec.Hg))
-        raise ValueError("the record is no longer in its run's history")
+        return H
 
 
 def initial_state(problem: Problem) -> SolverState:
@@ -233,41 +245,43 @@ def initial_state(problem: Problem) -> SolverState:
     )
 
 
-def _localizer(state: SolverState) -> tuple[np.ndarray, np.ndarray, float]:
-    """``H c`` with the center z and squared radius D of the ellipsoid part
-    of the localizer; the only place the solver forms ``H c``.
+def _localizer(state: SolverState) -> tuple[np.ndarray, float, float, float]:
+    """The center z and squared radius D of the ellipsoid part of the
+    localizer, with the scalars ``<c, Hc>`` and ``<c, z>`` that D, the
+    support ``U`` and the sliding gap read; the only place the solver forms
+    ``H c``.
 
     Completing the square in  -l(x) + |x - x_k|_G^2 / 2 <= R_k^2 / 2  gives
     z = x + Hc and D = R^2 - 2(sigma - <c, x>) + <c, Hc>.
     """
-    hc = state.H @ state.c
+    c = state.c
+    hc = state.H @ c
     z = state.x + hc
-    D = state.Rsq - 2.0 * (state.sigma - float(state.c @ state.x)) + float(state.c @ hc)
+    cHc = float(c @ hc)
+    D = state.Rsq - 2.0 * (state.sigma - float(c @ state.x)) + cHc
     if D < 0.0:
         if D < -1e-12 * max(1.0, state.Rsq):
             raise SolverBreakdown(
                 f"localizer radius went negative (D = {D:g} at k = {state.k})"
             )
         D = 0.0
-    return hc, z, D
+    return z, D, cHc, float(c @ z)
 
 
 def localizer_geometry(state: SolverState) -> tuple[np.ndarray, float]:
-    _, z, D = _localizer(state)
+    z, D, _, _ = _localizer(state)
     return z, D
 
 
-def _u_from_grams(state, g, hg, hc, z, D) -> float:
+def _u_from_grams(state, g, hg, gHg, z, D, cHc, cz) -> float:
     """Support of g over the localizer, via the single-cut support function
-    with all quadratic forms scaled by D."""
+    with all quadratic forms scaled by D; ``gHg``, ``cHc`` and ``cz`` are
+    the step's and the localizer's own scalars."""
     lead = float(g @ (state.x - z))
     if D == 0.0:
         return lead
-    gHg = float(g @ hg)
     cHg = float(state.c @ hg)
-    cHc = float(state.c @ hc)
-    beta = state.sigma - float(state.c @ z)
-    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, beta)
+    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, state.sigma - cz)
 
 
 def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
@@ -286,38 +300,40 @@ def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
     # the rank-one downdate preserves exact symmetry elementwise
     # (hg[i]*hg[j] rounds identically to hg[j]*hg[i]), so no extra
     # symmetrization pass is needed in the hot loop
-    new_H = np.outer(hg, hg)
+    new_H = hg[:, None] * hg
     new_H *= -(b / denom)
     new_H += H
     return new_H
 
 
 def _advance(state: SolverState, rec: HistoryRecord,
-             gnorm: Optional[float] = None) -> SolverState:
+             gnorm: Optional[float] = None, t: Optional[float] = None) -> SolverState:
     """The state after the nonterminal step ``rec`` taken at ``state``.
 
     Shifts the point along ``H g``, applies the rank-one update to ``H`` and
     rolls the ``(R^2, c, sigma, Gamma, log det H)`` recurrences forward,
-    all from the recorded ``(g, a, b, Hg, U)``; ``gnorm`` is ``|g|`` when
-    the caller already has it.  The only statement of the update.
+    all from the recorded ``(g, a, b, Hg, U)``; ``gnorm`` is ``|g|`` and
+    ``t`` is ``g.Hg`` when the caller already has them.  The only statement
+    of the update.
     """
     g, hg, a, b = rec.g, rec.Hg, rec.a, rec.b
     if gnorm is None:
-        gnorm = float(np.linalg.norm(g))
-    t = float(g @ hg)
+        gnorm = math.sqrt(float(g @ g))
+    if t is None:
+        t = float(g @ hg)
     denom = 1.0 + b * t
     shift = a + 0.5 * b * rec.U
     return SolverState(
-        k=state.k + 1,
-        x=state.x - (shift / denom) * hg,
-        H=_rank_one_update(state.H, hg, b, denom),
-        Rsq=state.Rsq + shift ** 2 * t / denom,
-        c=state.c + a * g,
-        sigma=state.sigma + a * float(g @ state.x),
-        Gamma=state.Gamma + a * gnorm,
-        R0=state.R0,
-        x0=state.x0,
-        log_det_H=state.log_det_H - math.log1p(b * t),
+        state.k + 1,
+        state.x - (shift / denom) * hg,
+        _rank_one_update(state.H, hg, b, denom),
+        state.Rsq + shift ** 2 * t / denom,
+        state.c + a * g,
+        state.sigma + a * float(g @ state.x),
+        state.Gamma + a * gnorm,
+        state.R0,
+        state.x0,
+        state.log_det_H - math.log1p(b * t),
     )
 
 
@@ -327,39 +343,39 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
 
     ``U_k`` is the support of ``g_k`` over the localizer, and the step
     weights are ``a_k = (alpha_k R + theta gamma R_k / 2) / |g_k|_k`` and
-    ``b_k = gamma / |g_k|_k^2``; the record carries all three.
-    ``localizer`` is ``_localizer(state)`` when the caller already has it.
-    Returns ``(new_state, record, terminal)``.  On a terminal iteration
-    (U_k <= delta |g_k|, which a zero oracle vector always meets) the
-    weights are zero and the state is returned unchanged; otherwise the new
-    state is ``_advance(state, record)``.
+    ``b_k = gamma / |g_k|_k^2``; the record carries all three.  Each product
+    is formed once: ``g.Hg`` and ``|g|`` here, ``<c, Hc>`` and ``<c, z>`` in
+    the localizer.  ``localizer`` is ``_localizer(state)`` when the caller
+    already has it.  Returns ``(new_state, record, terminal)``; the record
+    is a fresh mutable dataclass and ``state`` is left untouched.  On a
+    terminal iteration (U_k <= delta |g_k|, which a zero oracle vector
+    always meets) the weights are zero and the state is returned unchanged;
+    otherwise the new state is ``_advance(state, record)``.
     """
     g = response.g.copy()
-    hc, z, D = localizer if localizer is not None else _localizer(state)
+    z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
     hg = state.H @ g
-    U = _u_from_grams(state, g, hg, hc, z, D)
-    gnorm = float(np.linalg.norm(g))
+    t = float(g @ hg)
+    U = _u_from_grams(state, g, hg, t, z, D, cHc, cz)
+    # equals np.linalg.norm(g) bit for bit: norm of a 1-D float array is
+    # sqrt(g.dot(g))
+    gnorm = math.sqrt(float(g @ g))
 
     terminal = U <= config.delta_term * gnorm
     if terminal:
         a = b = 0.0
     else:
-        t = float(g @ hg)
-        dn = math.sqrt(t)
-        R_k = math.sqrt(state.Rsq)
         a = (config.alpha(state.k) * state.R0
-             + 0.5 * config.theta * config.gamma * R_k) / dn
+             + 0.5 * config.theta * config.gamma * math.sqrt(state.Rsq)) / math.sqrt(t)
         b = config.gamma / t
 
     # hg is a fresh product that nothing below writes to, so the record can
     # hold it without a copy
-    record = HistoryRecord(
-        x=state.x.copy(), g=g, a=a, b=b, Hg=hg, z=z, D=D,
-        c=state.c.copy(), sigma=state.sigma, U=U, productive=response.productive,
-    )
+    record = HistoryRecord(state.x.copy(), g, a, b, hg, z, D, state.c.copy(),
+                           state.sigma, U, response.productive)
     if terminal:
         return state, record, True
-    return _advance(state, record, gnorm), record, False
+    return _advance(state, record, gnorm, t), record, False
 
 
 def sliding_gap(state: SolverState, *, localizer=None) -> float:
@@ -369,9 +385,9 @@ def sliding_gap(state: SolverState, *, localizer=None) -> float:
     ``_localizer(state)`` when the caller already has it."""
     if state.Gamma <= 0.0:
         raise ValueError("sliding gap undefined: no accumulated step weights")
-    hc, z, D = localizer if localizer is not None else _localizer(state)
-    cn = nonneg_sqrt(float(state.c @ hc), max(1.0, float(state.c @ state.c)))
-    return (state.sigma - float(state.c @ z) + math.sqrt(D) * cn) / state.Gamma
+    _, D, cHc, cz = localizer if localizer is not None else _localizer(state)
+    cn = nonneg_sqrt(cHc, max(1.0, float(state.c @ state.c)))
+    return (state.sigma - cz + math.sqrt(D) * cn) / state.Gamma
 
 
 def avg_radius(state: SolverState) -> float:
@@ -381,8 +397,12 @@ def avg_radius(state: SolverState) -> float:
     return math.sqrt(state.Rsq) * math.exp(state.log_det_H / (2.0 * n))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
+    """One row of a run's trace, taken at the start of iteration k (before
+    the update).  A plain mutable dataclass built once per iteration;
+    ``cert_gap`` is filled in by callers that certify."""
+
     k: int
     variant: str
     productive: bool
@@ -417,9 +437,10 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     weight semantics).  The localizer is formed once per iteration and
     shared by the step and the trace row.
 
-    The history holds O(n) numbers per step and no operator; each record is
-    bound to the run, so ``record.H`` replays its operator on demand.
-    ``keep_operators`` is accepted for older callers and ignored.
+    The history holds O(n) numbers per step and no operator; each record
+    points to the run's previous record, so ``record.H`` replays its
+    operator on demand.  ``keep_operators`` is accepted for older callers
+    and ignored.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -427,14 +448,16 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     rows: list[TraceRow] = []
     records: list[HistoryRecord] = []
     termination = "max-iter"
+    prev = _RUN_START
     for _ in range(max_iter):
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
         localizer = _localizer(state)
         new_state, record, terminal = step(state, resp, config, localizer=localizer)
-        # records are frozen; the binding lets ``record.H`` find its predecessors
-        object.__setattr__(record, "_records", records)
+        # the link lets ``record.H`` find its predecessors
+        record._prev = prev
         records.append(record)
+        prev = record
         if collect_trace:
             rows.append(_trace_row(problem, config, state, resp, localizer,
                                    time.perf_counter() - t_start))
@@ -472,14 +495,14 @@ def _trace_row(problem, config, state, resp, localizer, elapsed_s) -> TraceRow:
     if state.k >= 1 and state.Gamma > 0.0:
         gap = sliding_gap(state, localizer=localizer)
     return TraceRow(
-        k=state.k,
-        variant=config.variant,
-        productive=resp.productive,
-        f_value=resp.f if resp.f is not None else problem.f_value(state.x),
-        sliding_gap=gap,
-        cert_gap=None,
-        R_k=math.sqrt(state.Rsq),
-        avrad=avg_radius(state),
-        Gamma_k=state.Gamma,
-        wall_time_us=elapsed_s * 1e6,
+        state.k,
+        config.variant,
+        resp.productive,
+        resp.f if resp.f is not None else problem.f_value(state.x),
+        gap,
+        None,
+        math.sqrt(state.Rsq),
+        avg_radius(state),
+        state.Gamma,
+        elapsed_s * 1e6,
     )

@@ -187,6 +187,66 @@ def test_flag_wins_over_malformed_environment_value(problem_path, monkeypatch, c
     assert "iterations: 3 (requested 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--epsilon", "nan"),
+    ("solve", "--epsilon", "inf"),
+    ("solve", "--epsilon", "-1"),
+    ("solve", "--delta", "nan"),
+    ("solve", "--delta", "-1"),
+    ("solve", "--delta", "inf"),
+    ("certify", "--delta", "nan"),
+    ("compare", "--epsilon", "inf"),
+    ("compare", "--variants", ","),
+    ("compare", "--variants", " , "),
+])
+def test_bad_termination_target_exits_2(problem_path, capsys, command, flag, value):
+    rc = main([command, "--problem", problem_path, "--iters", "5", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+def test_zero_delta_disables_early_termination(problem_path, capsys):
+    assert main(["solve", "--problem", problem_path, "--iters", "5",
+                 "--delta", "0"]) == 0
+    assert "termination: max-iter" in capsys.readouterr().out
+
+
+def _reference_fmt(value) -> str:
+    """The cell text of every CLI CSV: empty for None, 1/0 for a bool, 17
+    significant digits for a float, ``str`` otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+CELLS = [None, True, False, 0, -7, 2 ** 70, "subgrad-ellipsoid", "", float("nan"),
+         float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3,
+         1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0,
+         np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.int64(-3),
+         np.bool_(True), np.float32(0.1)]
+
+
+def test_csv_writer_bytes_equal_joined_cells(tmp_path):
+    rng = np.random.default_rng(7)
+    # rows of mixed cell types, more than two blocks' worth, so several row
+    # formats and a partial last block are written
+    rows = [tuple(CELLS[j] for j in rng.integers(0, len(CELLS), size=5))
+            for _ in range(2 * subell.cli.CSV_BLOCK_ROWS + 17)]
+    rows.append(tuple(CELLS[:5]))
+    path = tmp_path / "cells.csv"
+    subell.cli._write_csv(path, ("a", "b", "c", "d", "e"), iter(rows), 11)
+    want = "# seed=11\na,b,c,d,e\n" + "".join(
+        ",".join(_reference_fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+    for value in CELLS:
+        assert subell.cli._fmt(value) == _reference_fmt(value), repr(value)
+
+
 def test_unknown_variant_in_compare_fails_cleanly(problem_path, capsys):
     rc = main(["compare", "--problem", problem_path, "--variants", "sketchy",
                "--iters", "5"])

@@ -1,18 +1,21 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from subell import certificates as certs
-from subell.linalg import dual_norm
-from subell.oracles import OracleResponse, problem_from_dict
+from subell.linalg import dual_norm, nonneg_sqrt
+from subell.oracles import Ball, OracleResponse, problem_from_dict
 from subell.solver import (
     VARIANTS,
     HistoryRecord,
     Schedule,
     SolverState,
     StrategyConfig,
+    TraceRow,
     avg_radius,
     delta_from_target,
     gamma_opt,
@@ -24,6 +27,7 @@ from subell.solver import (
     sliding_gap,
     step,
 )
+from subell.support import _xi_gram
 
 from helpers import (
     classical_ellipsoid,
@@ -487,6 +491,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             delta_from_target(-1.0, 0.5, 3.0)
 
+    @pytest.mark.parametrize("epsilon,r,V", [
+        (math.nan, 0.5, 3.0), (math.inf, 0.5, 3.0), (1.0, math.inf, 3.0),
+        (1.0, 0.5, math.nan), (1.0, 0.5, math.inf)])
+    def test_delta_from_target_rejects_nonfinite(self, epsilon, r, V):
+        with pytest.raises(ValueError, match="finite"):
+            delta_from_target(epsilon, r, V)
+
     def test_standard_ellipsoid_rejects_dim_one(self):
         with pytest.raises(ValueError, match="dim >= 2"):
             StrategyConfig.for_variant("ellipsoid", 1)
@@ -625,3 +636,192 @@ class TestLeanHistory:
                                             schedule=Schedule("decay"))
         lean = self._assert_lean_matches_full(prob, config, 10)
         assert lean.termination == "zero-subgradient"
+
+    def test_dropped_result_is_freed_without_the_cycle_collector(self):
+        prob = max_affine_ball(np.random.default_rng(51), 30)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 30,
+                                            schedule=Schedule("decay"))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run(prob, config, 2000)
+            held = tracemalloc.get_traced_memory()[0] - before
+            assert res.records[-1].H.shape == (30, 30)
+            del res
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # 2000 records hold five n-vectors each, about 2.4 MB
+        assert held > 2_000_000
+        assert left < 0.01 * held
+
+
+# The forward iteration as first written: every product formed where it is
+# used (``<c, Hc>`` three times, ``g.Hg`` three times, ``<c, z>`` twice),
+# ``|g|`` from ``np.linalg.norm`` and the rank-one term from ``np.outer``.
+# ``run`` must reproduce it bit for bit.
+
+def _reference_localizer(state):
+    hc = state.H @ state.c
+    z = state.x + hc
+    D = state.Rsq - 2.0 * (state.sigma - float(state.c @ state.x)) + float(state.c @ hc)
+    if D < 0.0:
+        assert D >= -1e-12 * max(1.0, state.Rsq)
+        D = 0.0
+    return hc, z, D
+
+
+def _reference_u(state, g, hg, hc, z, D):
+    lead = float(g @ (state.x - z))
+    if D == 0.0:
+        return lead
+    gHg = float(g @ hg)
+    cHg = float(state.c @ hg)
+    cHc = float(state.c @ hc)
+    beta = state.sigma - float(state.c @ z)
+    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, beta)
+
+
+def _reference_advance(state, rec):
+    g, hg, a, b = rec["g"], rec["Hg"], rec["a"], rec["b"]
+    gnorm = float(np.linalg.norm(g))
+    t = float(g @ hg)
+    denom = 1.0 + b * t
+    shift = a + 0.5 * b * rec["U"]
+    H = state.H
+    if b != 0.0:
+        H = np.outer(hg, hg)
+        H *= -(b / denom)
+        H += state.H
+    return SolverState(
+        k=state.k + 1,
+        x=state.x - (shift / denom) * hg,
+        H=H,
+        Rsq=state.Rsq + shift ** 2 * t / denom,
+        c=state.c + a * g,
+        sigma=state.sigma + a * float(g @ state.x),
+        Gamma=state.Gamma + a * gnorm,
+        R0=state.R0,
+        x0=state.x0,
+        log_det_H=state.log_det_H - math.log1p(b * t),
+    )
+
+
+def _reference_step(state, response, config, localizer):
+    """``(new_state, record fields, terminal)`` of one iteration."""
+    g = response.g.copy()
+    hc, z, D = localizer
+    hg = state.H @ g
+    U = _reference_u(state, g, hg, hc, z, D)
+    gnorm = float(np.linalg.norm(g))
+    terminal = U <= config.delta_term * gnorm
+    if terminal:
+        a = b = 0.0
+    else:
+        t = float(g @ hg)
+        dn = math.sqrt(t)
+        R_k = math.sqrt(state.Rsq)
+        a = (config.alpha(state.k) * state.R0
+             + 0.5 * config.theta * config.gamma * R_k) / dn
+        b = config.gamma / t
+    record = dict(x=state.x.copy(), g=g, a=a, b=b, Hg=hg, z=z, D=D,
+                  c=state.c.copy(), sigma=state.sigma, U=U,
+                  productive=response.productive)
+    if terminal:
+        return state, record, True
+    return _reference_advance(state, record), record, False
+
+
+def _reference_sliding_gap(state, localizer):
+    hc, z, D = localizer
+    cn = nonneg_sqrt(float(state.c @ hc), max(1.0, float(state.c @ state.c)))
+    return (state.sigma - float(state.c @ z) + math.sqrt(D) * cn) / state.Gamma
+
+
+def _reference_run(prob, config, iters):
+    """Records, trace rows (``wall_time_us`` zero) and final state of a
+    ``_reference_step`` loop, with the composed oracle's interior test of a
+    ball checked against ``np.linalg.norm``."""
+    state = initial_state(prob)
+    records, rows = [], []
+    for _ in range(iters):
+        resp = prob.oracle(state.x)
+        if isinstance(prob.feasible, Ball):
+            inside = float(np.linalg.norm(state.x - prob.feasible.center)) < prob.feasible.radius
+            assert resp.productive == inside
+        localizer = _reference_localizer(state)
+        gap = None
+        if state.k >= 1 and state.Gamma > 0.0:
+            gap = _reference_sliding_gap(state, localizer)
+        R_k = math.sqrt(state.Rsq)
+        rows.append(TraceRow(
+            k=state.k, variant=config.variant, productive=resp.productive,
+            f_value=resp.f if resp.f is not None else prob.f_value(state.x),
+            sliding_gap=gap, cert_gap=None, R_k=R_k,
+            avrad=R_k * math.exp(state.log_det_H / (2.0 * state.x.shape[0])),
+            Gamma_k=state.Gamma, wall_time_us=0.0))
+        new_state, record, terminal = _reference_step(state, resp, config, localizer)
+        records.append(record)
+        if terminal:
+            break
+        state = new_state
+    return records, rows, state
+
+
+def _same(got, want):
+    return got is None and want is None or np.array_equal(got, want)
+
+
+class TestReferenceStep:
+    """``run`` equals the reference loop above bit for bit: every recorded
+    field, every trace row apart from ``wall_time_us``, and the final
+    state."""
+
+    @staticmethod
+    def _assert_run_matches_reference(prob, config, iters):
+        res = run(prob, config, iters)
+        records, rows, state = _reference_run(prob, config, iters)
+        assert len(res.records) == len(records) == len(res.rows) == len(rows)
+        for got, want in zip(res.records, records):
+            for name, value in want.items():
+                assert _same(getattr(got, name), value), name
+        for got, want in zip(res.rows, rows):
+            for field in fields(TraceRow):
+                if field.name != "wall_time_us":
+                    assert _same(getattr(got, field.name),
+                                 getattr(want, field.name)), field.name
+        for field in fields(SolverState):
+            assert np.array_equal(getattr(res.state, field.name),
+                                  getattr(state, field.name)), field.name
+        return res
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_run_matches_reference(self, family, variant):
+        prob = FAMILIES[family](np.random.default_rng(52))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        res = self._assert_run_matches_reference(prob, config, 60)
+        assert len(res.records) == 60
+
+    def test_gap_threshold_stop(self):
+        prob = max_affine_ball(np.random.default_rng(10), 2)
+        config = StrategyConfig.for_variant("ellipsoid-cert", 2, delta_term=0.25)
+        res = self._assert_run_matches_reference(prob, config, 500)
+        assert res.termination == "gap-threshold"
+
+    def test_zero_subgradient_stop(self):
+        prob = problem_from_dict({
+            "kind": "max-of-affine", "dim": 2, "x0": [0.0, 0.0], "R": 1.0,
+            "set": {"type": "ball", "center": [0.0, 0.0], "radius": 0.5},
+            "objective": {"rows": [{"a": [0.0, 0.0], "b": 1.0}]},
+        })
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 2,
+                                            schedule=Schedule("decay"))
+        res = self._assert_run_matches_reference(prob, config, 10)
+        assert res.termination == "zero-subgradient"

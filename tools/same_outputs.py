@@ -4,13 +4,17 @@ Usage::
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
-Writes problem 0 of the benchmark's seed 1 at n = 30, 60, 100 and 400
+Writes problem 0 of the benchmark's seed 1 at n = 10, 30, 60, 100 and 400
 (``perfbench/generate.py`` of this checkout, imported without writing
-bytecode), runs the same five ``subell`` commands against the ``src/`` of
-each tree with one BLAS thread, and compares every output file and each
-command's stdout byte for byte.  Only the ``wall_time_us`` column of trace
-CSVs and the ``problem:`` line of summaries are left out of the comparison.
-Prints ``same`` or ``DIFF`` per output and exits 1 on any DIFF.
+bytecode) and a small bilinear saddle problem drawn from a fixed seed,
+runs the same seven ``subell`` commands against the ``src/`` of each tree
+with one BLAS thread, and compares every output file and each command's
+stdout byte for byte.  Besides the benchmark's five commands, a terminal
+``certify`` covers the terminal certificate pathway, and a saddle ``solve``
+covers trace rows with empty cells (no ``f_value``).  Only the
+``wall_time_us`` column of trace CSVs and the ``problem:`` line of
+summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
+output and exits 1 on any DIFF.
 """
 
 from __future__ import annotations
@@ -23,19 +27,26 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 
-# (name, n, CLI arguments before --problem and --out)
+# (name, problem, CLI arguments before --problem and --out)
 COMMANDS = (
-    ("compare-n30", 30, ("compare", "--iters", "3000")),
-    ("certify-minwidth-n60", 60, ("certify", "--variant", "ellipsoid", "--iters", "2000",
-                                  "--cadence", "pow2")),
-    ("certify-n100", 100, ("certify", "--variant", "subgrad-ellipsoid", "--iters", "2000",
-                           "--cadence", "250")),
-    ("solve-n400", 400, ("solve", "--variant", "subgrad-ellipsoid", "--iters", "400")),
-    ("solve-to-eps-n30", 30, ("solve", "--variant", "subgrad-ellipsoid", "--epsilon", "0.1",
-                              "--iters", "200000")),
+    ("compare-n30", "max-affine-n30", ("compare", "--iters", "3000")),
+    ("certify-minwidth-n60", "max-affine-n60", ("certify", "--variant", "ellipsoid",
+                                                "--iters", "2000", "--cadence", "pow2")),
+    ("certify-n100", "max-affine-n100", ("certify", "--variant", "subgrad-ellipsoid",
+                                         "--iters", "2000", "--cadence", "250")),
+    ("solve-n400", "max-affine-n400", ("solve", "--variant", "subgrad-ellipsoid",
+                                       "--iters", "400")),
+    ("solve-to-eps-n30", "max-affine-n30", ("solve", "--variant", "subgrad-ellipsoid",
+                                            "--epsilon", "0.1", "--iters", "200000")),
+    ("certify-terminal-n10", "max-affine-n10", ("certify", "--variant", "ellipsoid-cert",
+                                                "--epsilon", "0.3", "--iters", "20000")),
+    ("solve-saddle-n6", "saddle-n6", ("solve", "--variant", "subgrad-ellipsoid",
+                                      "--iters", "500")),
 )
 
 
@@ -46,6 +57,31 @@ def _generator():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _saddle_problem(nu: int = 3, nv: int = 3) -> dict:
+    """Description of f(u, v) = u.Mv over two balls of radius 0.5, started
+    at the pair of ball centers, which are off the origin so the first
+    field value is nonzero."""
+    rng = np.random.default_rng([SEED, nu, nv])
+    M = rng.standard_normal((nu, nv))
+    cu = 0.3 * rng.standard_normal(nu)
+    cv = 0.3 * rng.standard_normal(nv)
+    return {
+        "kind": "saddle-bilinear",
+        "dim": nu + nv,
+        "x0": cu.tolist() + cv.tolist(),
+        "R": 1.0,
+        "set": {"type": "ball-product", "centers": [cu.tolist(), cv.tolist()],
+                "radii": [0.5, 0.5]},
+        "objective": {"M": M.tolist()},
+    }
+
+
+def _problem(name: str, generate) -> dict:
+    if name == "saddle-n6":
+        return _saddle_problem()
+    return generate.max_affine_ball(SEED, int(name.rsplit("-n", 1)[1]), 0)
 
 
 def _normalized(path: Path) -> bytes:
@@ -70,11 +106,11 @@ def _run_tree(tree: Path, work: Path, problems: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     outputs = {}
-    for name, n, args in COMMANDS:
+    for name, problem, args in COMMANDS:
         out_dir = work / name
         out_dir.mkdir(parents=True)
         proc = subprocess.run(
-            [sys.executable, "-m", "subell.cli", *args, "--problem", str(problems[n]),
+            [sys.executable, "-m", "subell.cli", *args, "--problem", str(problems[problem]),
              "--out", str(out_dir / "out.csv")],
             cwd=work, env=env, capture_output=True)
         (out_dir / "stdout.txt").write_bytes(proc.stdout)
@@ -95,9 +131,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
         problems = {}
-        for n in sorted({n for _, n, _ in COMMANDS}):
-            problems[n] = work / f"problem-n{n}.json"
-            problems[n].write_text(json.dumps(generate.max_affine_ball(SEED, n, 0)))
+        for name in sorted({problem for _, problem, _ in COMMANDS}):
+            problems[name] = work / f"{name}.json"
+            problems[name].write_text(json.dumps(_problem(name, generate)))
         before = _run_tree(parent, work / "parent", problems)
         after = _run_tree(change, work / "change", problems)
         diffs = 0
