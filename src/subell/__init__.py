@@ -15,7 +15,6 @@ from .oracles import (
     OracleResponse,
     Problem,
     ProblemFormatError,
-    composed_oracle,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -40,7 +39,7 @@ from .solver import (
     sliding_gap,
     step,
 )
-from .support import HalfspaceCut, dual_multipliers, minimizer_u, support_value_xi, tau
+from .support import HalfspaceCut, dual_multipliers, support_value_xi
 
 __version__ = "0.1.0"
 
@@ -48,13 +47,13 @@ __all__ = [
     "MinWidthReport", "Semicertificate", "augment", "certify_from_preliminary",
     "certify_standard_ellipsoid", "gap", "residual", "residual_bound_from_gap",
     "dual_norm", "top_eigenpair",
-    "OracleResponse", "Problem", "ProblemFormatError", "composed_oracle",
+    "OracleResponse", "Problem", "ProblemFormatError",
     "load_problem", "problem_from_dict", "problem_to_dict", "save_problem",
     "VARIANTS", "VARIANT_SUBGRADIENT", "VARIANT_ELLIPSOID",
     "VARIANT_ELLIPSOID_CERT", "VARIANT_SUBGRAD_ELLIPSOID",
     "HistoryRecord", "RunResult", "Schedule", "SolverState", "StrategyConfig",
     "avg_radius", "delta_from_target", "gamma_opt", "q_and_zeta",
     "run", "sliding_gap", "step",
-    "HalfspaceCut", "dual_multipliers", "minimizer_u", "support_value_xi", "tau",
+    "HalfspaceCut", "dual_multipliers", "support_value_xi",
     "__version__",
 ]

@@ -77,15 +77,20 @@ def _weighted_model(weights: np.ndarray,
     return w, val
 
 
+def _ball_max(weights: np.ndarray, records: Sequence[HistoryRecord],
+              x0: np.ndarray, R: float) -> float:
+    """max over x in B(x0, R) of sum(lambda_i <g_i, x_i - x>), in closed form."""
+    w, val = _weighted_model(weights, records)
+    return val - float(w @ x0) + R * float(np.linalg.norm(w))
+
+
 def gap(cert: Semicertificate, records: Sequence[HistoryRecord],
         x0: np.ndarray, R: float) -> float:
     """Gap of the weights over the ball B(x0, R):
     max_x sum(lambda_i <g_i, x_i - x>) / gamma_weighted, in closed form."""
     if cert.gamma_weighted <= 0.0:
         raise ValueError("gap undefined: weighted subgradient mass is zero")
-    w, val = _weighted_model(cert.weights, records)
-    num = val - float(w @ x0) + R * float(np.linalg.norm(w))
-    return num / cert.gamma_weighted
+    return _ball_max(cert.weights, records, x0, R) / cert.gamma_weighted
 
 
 def residual(cert: Semicertificate, records: Sequence[HistoryRecord],
@@ -94,9 +99,7 @@ def residual(cert: Semicertificate, records: Sequence[HistoryRecord],
     by the productive weight."""
     if cert.productive_weight <= 0.0:
         raise ValueError("residual undefined: no weight on productive steps")
-    w, val = _weighted_model(cert.weights, records)
-    num = val - float(w @ x0) + R * float(np.linalg.norm(w))
-    return num / cert.productive_weight
+    return _ball_max(cert.weights, records, x0, R) / cert.productive_weight
 
 
 def residual_bound_from_gap(delta: float, r: float, V: float) -> float:

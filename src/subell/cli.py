@@ -17,10 +17,10 @@ failure of the solver or the certificate pass, on stderr without a traceback.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import islice
 from operator import attrgetter
 
@@ -38,7 +38,6 @@ from .solver import (
     delta_from_target,
     reconstruct_state,
     run,
-    sliding_gap,
 )
 from .support import DependentConstraints, SlaterViolation
 
@@ -232,7 +231,6 @@ def cmd_certify(args) -> int:
 
     cert_rows = []
     cert_dump = []
-    rows = list(result.rows)
     checkpoints = _checkpoints(args.cadence, len(records))
     # each checkpoint's state is replayed from the previous one; after a
     # terminal run the last one is the state before the terminal record,
@@ -265,19 +263,17 @@ def cmd_certify(args) -> int:
                           g, res, rho, bound))
         cert_dump.append({"k": k, "pathway": pathway, "gap": g, "residual": res,
                           "weights": cert.weights.tolist()})
-        if k < len(rows) and g is not None:
-            rows[k] = replace(rows[k], cert_gap=g)
+        if k < len(result.rows) and g is not None:
+            result.rows[k].cert_gap = g
 
-    result.rows = rows
     summary = _summary(problem, args, result, extra=note)
     summary += f"certificates: {len(cert_rows)} checkpoints (cadence {args.cadence})\n"
     if cert_rows:
         summary += f"final_cert_gap: {_fmt(cert_rows[-1][4])}\n"
         summary += f"final_cert_residual: {_fmt(cert_rows[-1][5])}\n"
     if args.out:
-        _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, rows), args.seed)
+        _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, result.rows), args.seed)
         _write_csv(args.out + ".certs.csv", CERT_COLUMNS, cert_rows, args.seed)
-        import json
         with open(args.out + ".certs.json", "w", encoding="utf-8") as fh:
             json.dump({"seed": args.seed, "checkpoints": cert_dump}, fh, indent=1)
             fh.write("\n")

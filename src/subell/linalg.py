@@ -2,10 +2,12 @@
 
 Coordinates are fixed so that the reference inner product is the plain dot
 product; every operator in this package is then just a dense symmetric
-``numpy`` array.  This module provides the few primitives the solver needs:
-norms weighted by an inverse operator, the SPD inverse, and the extreme
-eigenpair used by the min-width certificate.  The rank-one update of the
-inverse metric lives with the step that makes it (``solver``).
+``numpy`` array.  This module provides the few primitives the solver and
+the certificates need: a square root guarded against round-off
+(``nonneg_sqrt``), the dual norm given the inverse operator (``dual_norm``),
+the SPD inverse and symmetrization, and the top eigenpair used by the
+min-width certificate.  The rank-one update of the inverse metric lives with
+the step that makes it (``solver``).
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ def nonneg_sqrt(value: float, scale: float = 1.0, context: str = "") -> float:
     return math.sqrt(value)
 
 
-def dual_norm_sq(H: np.ndarray, s: np.ndarray) -> float:
-    """Quadratic form ``s . H s`` (the squared dual norm induced by H^-1)."""
-    return float(s @ (H @ s))
-
-
 def dual_norm(H: np.ndarray, s: np.ndarray) -> float:
     """Dual norm ``sqrt(s . H s)`` of a functional ``s`` given the inverse
     operator ``H`` directly.  Zero iff ``s`` is zero (for PD ``H``)."""
-    rad = dual_norm_sq(H, s)
+    rad = float(s @ (H @ s))
     scale = float(np.abs(s).max(initial=0.0)) ** 2 * float(np.abs(H).max(initial=1.0))
     return nonneg_sqrt(rad, scale, "in dual_norm")
 
@@ -60,7 +57,7 @@ def spd_inverse(H: np.ndarray) -> np.ndarray:
     return symmetrize(Linv.T @ Linv)
 
 
-def top_eigenpair(G: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+def top_eigenpair(G: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric PD matrix and a unit eigenvector.
 
     Taken from the full symmetric eigendecomposition (``eigh``, which reads
@@ -68,8 +65,8 @@ def top_eigenpair(G: np.ndarray, tol: float = 1e-12) -> tuple[float, np.ndarray]
     orientation power iteration from the all-ones start converges to; the
     certificates stay reproducible.
 
-    Returns ``(lam, v)`` with ``|v| = 1``.  ``tol`` is not used: the
-    residual ``|G v - lam v|`` is at round-off level, about ``n eps lam``.
+    Returns ``(lam, v)`` with ``|v| = 1``; the residual ``|G v - lam v|``
+    is at round-off level, about ``n eps lam``.
     """
     evals, evecs = np.linalg.eigh(G)
     v = evecs[:, -1]

@@ -2,9 +2,9 @@
 
 A problem couples a feasible solid ``Q`` (given through a separation oracle)
 with a vector field ``g`` on its interior (given through a first-order
-oracle).  The solver only ever sees the composed oracle: the first-order
-answer on the interior of ``Q``, a separator otherwise.  Three families are
-shipped:
+oracle).  The solver only ever sees ``Problem.oracle``: the first-order
+answer on the interior of ``Q``, the set's ``separator`` otherwise.  Three
+families are shipped:
 
 * minimization of a nonsmooth convex function (max of affine pieces, or a
   convex quadratic), where ``g`` is a subgradient;
@@ -56,34 +56,6 @@ class OracleResponse:
 # feasible sets
 
 
-def separation_ball(x: np.ndarray, center: np.ndarray, radius: float) -> OracleResponse:
-    """Separator for a Euclidean ball: the radial direction ``x - center``.
-
-    Valid for any point outside the open ball; for every ``y`` in the ball,
-    ``<x - center, x - y> >= 0``.
-    """
-    g = x - center
-    if math.sqrt(float(g @ g)) < radius:
-        raise ValueError("separation oracle called with an interior point")
-    return OracleResponse(g, False)
-
-
-def separation_box(x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> OracleResponse:
-    """Separator for an axis-aligned box: the most-violated coordinate axis.
-
-    Ties resolve to the smallest coordinate index so runs are reproducible.
-    """
-    over = x - upper
-    under = lower - x
-    viol = np.maximum(over, under)
-    j = int(np.argmax(viol))
-    if viol[j] < 0.0:
-        raise ValueError("separation oracle called with an interior point")
-    g = np.zeros_like(x)
-    g[j] = 1.0 if over[j] >= under[j] else -1.0
-    return OracleResponse(g, False)
-
-
 @dataclass(frozen=True)
 class Ball:
     center: np.ndarray
@@ -95,11 +67,15 @@ class Ball:
         return math.sqrt(float(d @ d)) < self.radius
 
     def separator(self, x: np.ndarray) -> OracleResponse:
-        return separation_ball(x, self.center, self.radius)
+        """The radial direction ``x - center``.
 
-    @property
-    def inner_center(self) -> np.ndarray:
-        return self.center
+        Valid for any point outside the open ball; for every ``y`` in the
+        ball, ``<x - center, x - y> >= 0``.
+        """
+        g = x - self.center
+        if math.sqrt(float(g @ g)) < self.radius:
+            raise ValueError("separation oracle called with an interior point")
+        return OracleResponse(g, False)
 
     @property
     def inner_radius(self) -> float:
@@ -125,11 +101,19 @@ class Box:
         return bool(np.all(x > self.lower) and np.all(x < self.upper))
 
     def separator(self, x: np.ndarray) -> OracleResponse:
-        return separation_box(x, self.lower, self.upper)
+        """The most-violated coordinate axis.
 
-    @property
-    def inner_center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        Ties resolve to the smallest coordinate index so runs are reproducible.
+        """
+        over = x - self.upper
+        under = self.lower - x
+        viol = np.maximum(over, under)
+        j = int(np.argmax(viol))
+        if viol[j] < 0.0:
+            raise ValueError("separation oracle called with an interior point")
+        g = np.zeros_like(x)
+        g[j] = 1.0 if over[j] >= under[j] else -1.0
+        return OracleResponse(g, False)
 
     @property
     def inner_radius(self) -> float:
@@ -181,10 +165,6 @@ class BallProduct:
         return OracleResponse(g, False)
 
     @property
-    def inner_center(self) -> np.ndarray:
-        return np.concatenate([self.center_u, self.center_v])
-
-    @property
     def inner_radius(self) -> float:
         return min(self.radius_u, self.radius_v)
 
@@ -223,9 +203,6 @@ class MaxAffine:
         j = int(v.argmax())
         return float(v[j]), self.A[j].copy()
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_subgrad(x)[0]
-
     def max_slope_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.A, axis=1)))
 
@@ -241,9 +218,6 @@ class ConvexQuadratic:
         """f(x) and the gradient P x + q, from one product P x."""
         px = self.P @ x
         return 0.5 * float(x @ px) + float(self.q @ x), px + self.q
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_subgrad(x)[0]
 
 
 @dataclass(frozen=True)
@@ -286,9 +260,11 @@ class Problem:
 
     ``R`` is the radius of the initial ball around ``x0`` that is guaranteed
     to contain both Q and a solution; ``inner_radius`` is the radius of a
-    Euclidean ball contained in Q (around ``feasible.inner_center``);
-    ``variation_bound`` is the semiboundedness constant of the field, i.e.
-    an upper bound on ``<g(x), y - x>`` over interior x and feasible y.
+    Euclidean ball contained in Q; ``variation_bound`` is the
+    semiboundedness constant of the field, i.e. an upper bound on
+    ``<g(x), y - x>`` over interior x and feasible y.  ``oracle`` is the
+    one entry the solver queries; ``f_value`` gives the objective at points
+    where the oracle did not form it.
     """
 
     kind: str
@@ -303,12 +279,22 @@ class Problem:
     fstar: Optional[float] = None
 
     def oracle(self, x: np.ndarray) -> OracleResponse:
-        return composed_oracle(self, x)
+        """First-order oracle on the interior of Q, separation oracle outside.
+
+        On the interior of Q a minimization problem's answer also carries the
+        objective value, formed from the same products as the subgradient.
+        """
+        if not self.feasible.contains_interior(x):
+            return self.feasible.separator(x)
+        if self.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
+            f, g = self.objective.value_and_subgrad(x)
+            return OracleResponse(g, True, f)
+        return OracleResponse(self.objective.field(x), True)
 
     def f_value(self, x: np.ndarray) -> Optional[float]:
         """Objective value for minimization problems; None otherwise."""
         if self.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
-            return self.objective.value(x)
+            return self.objective.value_and_subgrad(x)[0]
         return None
 
     def saddle_primal_dual_gap(self, x: np.ndarray) -> float:
@@ -324,20 +310,6 @@ class Problem:
         phi = float(u @ (M @ fs.center_v)) + fs.radius_v * float(np.linalg.norm(M.T @ u))
         psi = float(fs.center_u @ (M @ v)) - fs.radius_u * float(np.linalg.norm(M @ v))
         return phi - psi
-
-
-def composed_oracle(problem: Problem, x: np.ndarray) -> OracleResponse:
-    """First-order oracle on the interior of Q, separation oracle outside.
-
-    On the interior of Q a minimization problem's answer also carries the
-    objective value, formed from the same products as the subgradient.
-    """
-    if not problem.feasible.contains_interior(x):
-        return problem.feasible.separator(x)
-    if problem.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
-        f, g = problem.objective.value_and_subgrad(x)
-        return OracleResponse(g, True, f)
-    return OracleResponse(problem.objective.field(x), True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +331,15 @@ def _obj(obj, name: str) -> dict:
 
 
 def _array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``obj`` as a float array of ``shape``.  Only JSON numbers are taken:
+    strings, booleans and nulls are rejected, not parsed or cast."""
     try:
-        m = np.asarray(obj, dtype=float)
+        raw = np.asarray(obj)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{name} must be numeric") from exc
+    if raw.dtype.kind not in "iuf":
+        raise ProblemFormatError(f"{name} must be numeric (JSON numbers only)")
+    m = np.asarray(raw, dtype=float)
     if m.shape != shape:
         raise ProblemFormatError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -453,12 +430,13 @@ def problem_from_dict(d: dict) -> Problem:
 
 def _problem_from_dict(d: dict) -> Problem:
     kind = d["kind"]
-    dim = int(_num(d["dim"], "dim"))
+    dim = _num(d["dim"], "dim")
     R = _num(d["R"], "R")
     if kind not in KINDS:
         raise ProblemFormatError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if dim < 1:
-        raise ProblemFormatError("dim must be >= 1")
+    if dim < 1 or not dim.is_integer():
+        raise ProblemFormatError(f"dim must be an integer >= 1, got {dim:g}")
+    dim = int(dim)
     if R <= 0:
         raise ProblemFormatError("R must be positive")
     x0 = _vec(d["x0"], dim, "x0")

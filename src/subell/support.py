@@ -1,15 +1,18 @@
 """Closed-form auxiliary optimization over an ellipsoid cut by halfspaces.
 
 Everything here is about the set ``{x : |x|_{H^-1} <= 1, <a_i, x> <= b_i}``:
-its support function in a direction ``s`` (``support_value_xi``), the optimal
-multiplier of a single cut (``tau``), the unconstrained minimizer behind
-both (``minimizer_u``), and the exact solution of the two-cut dual problem
+its support function in a direction ``s`` (``support_value_xi``) and the
+exact solution of the two-cut dual problem
 
     min_{mu >= 0}  |s - mu1 a1 - mu2 a2|*_H  +  mu1 b1 + mu2 b2
 
 (``dual_multipliers``).  These are the only subproblems the solver and the
-certificate backward pass need.  The public functions form the Gram scalars
-``s.Hs, a_i.Hs, a_i.Ha_j`` and call one private Gram-form core.
+certificate backward pass need.  Both public functions form the Gram scalars
+``s.Hs, a_i.Hs, a_i.Ha_j`` and call one private Gram-form core, which solves
+the single-cut multiplier (``_tau_gram``) and the unconstrained stationary
+point behind it (``_stationary``) in closed form.  A single cut's multiplier
+is the first component of ``dual_multipliers`` against a vacuous second cut
+(zero normal, zero offset).
 
 The dual is positively homogeneous in ``s``, in each cut and in ``(H, b)``
 (H quadratically), so every tolerance is relative to the dual norms of the
@@ -87,24 +90,6 @@ def _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, fl
     return (a1Hs - r * b1) / a1Ha1 - k * u2, u2
 
 
-def minimizer_u(H: np.ndarray, s: np.ndarray, A: list[np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Unique minimizer of ``u -> |s - A u|*_H + <u, b>`` over R^m.
-
-    ``A`` is a list of m = 1 or 2 linearly independent vectors, and the
-    Slater-type condition ``b.(A^T H A)^-1 b < 1`` must hold.  The closed
-    form is ``u = (A^T H A)^-1 (A^T H s - r b)`` with ``r = |s - A u|*_H``.
-    """
-    if len(A) not in (1, 2):
-        raise ValueError(f"minimizer_u handles one or two constraints, got {len(A)}")
-    Amat = np.column_stack(A)
-    HA = H @ Amat
-    M, p, b = Amat.T @ HA, HA.T @ s, np.asarray(b, dtype=float)
-    sHs = float(s @ (H @ s))
-    if len(A) == 1:
-        return np.array(_stationary(sHs, p[0], 0.0, M[0, 0], 1.0, 0.0, b[0], 0.0)[:1])
-    return np.array(_stationary(sHs, p[0], p[1], M[0, 0], M[1, 1], M[0, 1], b[0], b[1]))
-
-
 def _tau_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
     """Single-cut multiplier from the Gram values of (s, a) under H."""
     if aHa <= 0.0:  # zero normal: vacuous cut, feasible only with beta >= 0
@@ -161,18 +146,6 @@ def _two_cut_gram(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, 
         raise RuntimeError(f"two-cut stationary point ({mu1:g}, {mu2:g}) left the "
                            "nonnegative quadrant; inconsistent geometry")
     return max(mu1, 0.0), max(mu2, 0.0)
-
-
-def tau(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
-    """Minimizer of ``t -> |s - t a|*_H + t b`` over ``t >= 0``.
-
-    Zero when the unconstrained support point of the ellipsoid already
-    satisfies the cut (``<a, Hs> <= b |s|*``), otherwise the interior
-    stationary point.
-    """
-    Hs = H @ s
-    a = cut.normal
-    return _tau_gram(float(s @ Hs), float(a @ Hs), float(a @ (H @ a)), cut.offset)
 
 
 def support_value_xi(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:

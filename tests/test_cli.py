@@ -1,5 +1,11 @@
 import csv
+import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +296,10 @@ MUTATIONS = [
     ("objective-list", "max", ["objective"], [1.0]),
     ("set-list", "max", ["set"], [0.5]),
     ("dim-null", "max", ["dim"], None),
+    ("dim-fraction", "max", ["dim"], 2.5),
+    ("dim-string", "max", ["dim"], "2"),
+    ("R-string", "max", ["R"], "2.0"),
+    ("row-a-string", "max", ["objective", "rows", 0, "a", 0], "0.5"),
     ("radii-nan", "saddle", ["set", "radii", 1], NAN),
     ("radii-number", "saddle", ["set", "radii"], 1.0),
     ("centers-nan", "saddle", ["set", "centers", 0, 0], NAN),
@@ -323,3 +333,47 @@ def test_saddle_preliminary_certificates_exit_0(tmp_path):
     assert main(["certify", "--problem", str(path), "--variant", "ellipsoid-cert",
                  "--iters", "200", "--out", str(tmp_path / "s.csv")]) == 0
 
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_module(name):
+    """``perfbench/<name>.py`` imported without writing bytecode next to it."""
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_traced_command_reports_every_layer_metric(tmp_path):
+    """A traced benchmark command yields every per-layer metric the benchmark
+    declares.  The tracer skips a function it cannot find where its caller
+    looks it up, and skipping drops that layer's metrics without an error,
+    so moving or renaming a traced name shows up here as missing keys."""
+    tracer = _perfbench_module("tracer")
+    problem = tmp_path / "problem.json"
+    _perfbench_module("generate").write_problem(problem, 1, 5)
+    measure = tmp_path / "measure.json"
+    out = tmp_path / "trace.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(measure), "1", "--",
+         "solve", "--variant", "subgrad-ellipsoid", "--iters", "20",
+         "--problem", str(problem), "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(measure.read_text(encoding="utf-8"))
+    assert Path(record["subell_file"]).resolve().is_relative_to(ROOT / "src")
+    metrics = tracer.layer_metrics(record["trace"], out.stat().st_size)
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # trace.overhead_s compares traced with untraced commands, in run.py
+    want = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}
+    assert set(metrics) == want
+    assert all(math.isfinite(v) for v in metrics.values())

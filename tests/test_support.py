@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from subell.linalg import dual_norm
 from subell.support import (
+    DependentConstraints,
     HalfspaceCut,
     SlaterViolation,
+    _stationary,
     dual_multipliers,
-    minimizer_u,
     support_value_xi,
-    tau,
 )
 
 from helpers import (
@@ -28,7 +28,24 @@ def _objective_u(H, s, A, b, u):
     return dual_norm(H, res) + float(u @ b)
 
 
+def _grams(H, s, a1, a2):
+    """The six Gram scalars ``s.Hs, a1.Hs, a2.Hs, a1.Ha1, a2.Ha2, a1.Ha2``."""
+    Hs, Ha1, Ha2 = H @ s, H @ a1, H @ a2
+    return (float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs),
+            float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2))
+
+
+def _vacuous(n):
+    """A cut every point satisfies; against it, the first multiplier of
+    ``dual_multipliers`` is the single-cut multiplier."""
+    return HalfspaceCut(np.zeros(n), 0.0)
+
+
 class TestMinimizerU:
+    """The unconstrained minimizer of ``u -> |s - A u|*_H + <u, b>`` from
+    the Gram scalars (``_stationary``).  One column passes a unit second
+    normal H-orthogonal to s and a1, with zero offset."""
+
     def test_residual_free_case(self):
         rng = np.random.default_rng(0)
         H = random_spd(rng, 4)
@@ -37,14 +54,15 @@ class TestMinimizerU:
         s = np.column_stack(A) @ w
         b = np.array([0.1, -0.2])  # any offsets with b.(A^T H A)^-1 b < 1 scaled down
         b = 0.1 * b
-        u = minimizer_u(H, s, A, b)
+        u = _stationary(*_grams(H, s, *A), *b)
         assert np.allclose(u, w, atol=1e-10)
 
     def test_two_dim_worked_example(self):
         # H = I, single column (1,0), s = (2,1): u = 2, optimum value |(0,1)| = 1
         H = np.eye(2)
         A = [np.array([1.0, 0.0])]
-        u = minimizer_u(H, np.array([2.0, 1.0]), A, np.array([0.0]))
+        sHs, a1Hs, _, a1Ha1, _, _ = _grams(H, np.array([2.0, 1.0]), A[0], A[0])
+        u = np.array(_stationary(sHs, a1Hs, 0.0, a1Ha1, 1.0, 0.0, 0.0, 0.0)[:1])
         assert u[0] == pytest.approx(2.0, abs=1e-14)
         assert _objective_u(H, np.array([2.0, 1.0]), A, np.array([0.0]), u) == \
             pytest.approx(1.0, abs=1e-14)
@@ -55,7 +73,7 @@ class TestMinimizerU:
         A = [unit(rng, 4), unit(rng, 4)]
         s = rng.standard_normal(4)
         b = 0.3 * np.array([1.0, -0.5])
-        u = minimizer_u(H, s, A, b)
+        u = np.array(_stationary(*_grams(H, s, *A), *b))
         val = _objective_u(H, s, A, b, u)
         eps = rng.standard_normal((100_000, 2)) * rng.uniform(1e-6, 1.0, (100_000, 1))
         phi = two_cut_objective(H, s, A[0], b[0], A[1], b[1])
@@ -69,7 +87,7 @@ class TestMinimizerU:
             A = [rng.standard_normal(5), rng.standard_normal(5)]
             s = rng.standard_normal(5)
             b = 0.2 * rng.standard_normal(2)
-            u = minimizer_u(H, s, A, b)
+            u = np.array(_stationary(*_grams(H, s, *A), *b))
             res = s - np.column_stack(A) @ u
             nrm = dual_norm(H, res)
             if nrm > 1e-8:
@@ -79,30 +97,33 @@ class TestMinimizerU:
     def test_rejects_slater_violation(self):
         H = np.eye(2)
         A = [np.array([1.0, 0.0])]
+        sHs, a1Hs, _, a1Ha1, _, _ = _grams(H, np.ones(2), A[0], A[0])
         with pytest.raises(SlaterViolation):
-            minimizer_u(H, np.ones(2), A, np.array([2.0]))
+            _stationary(sHs, a1Hs, 0.0, a1Ha1, 1.0, 0.0, 2.0, 0.0)
 
     def test_rejects_dependent_columns(self):
-        from subell.support import DependentConstraints
         a = np.array([1.0, 2.0])
         with pytest.raises(DependentConstraints):
-            minimizer_u(np.eye(2), np.ones(2), [a, 2 * a], np.array([0.0, 0.0]))
+            _stationary(*_grams(np.eye(2), np.ones(2), a, 2 * a), 0.0, 0.0)
 
 
 class TestTau:
+    """The single-cut multiplier, read off ``dual_multipliers`` against a
+    vacuous second cut."""
+
     def test_zero_when_ball_max_feasible(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             H = random_spd(rng, 3)
             s, a = rng.standard_normal(3), rng.standard_normal(3)
             beta = float(a @ (H @ s)) / dual_norm(H, s) + rng.uniform(0.01, 1.0)
-            assert tau(H, s, HalfspaceCut(a, beta)) == 0.0
+            assert dual_multipliers(H, s, HalfspaceCut(a, beta), _vacuous(3))[0] == 0.0
 
     def test_active_cut_against_dense_scan(self):
         H = np.eye(2)
         s = np.array([1.0, 0.0])
         cut = HalfspaceCut(np.array([1.0, 0.0]), 0.0)
-        got = tau(H, s, cut)
+        got = dual_multipliers(H, s, cut, _vacuous(2))[0]
         # brute-force scan over tau in [0, 10] at 1e-6 resolution, chunked
         best_t, best_v = 0.0, np.inf
         for lo in range(10):
@@ -118,7 +139,8 @@ class TestTau:
     def test_zero_subgradient_direction(self):
         rng = np.random.default_rng(4)
         H = random_spd(rng, 3)
-        assert tau(H, np.zeros(3), HalfspaceCut(rng.standard_normal(3), 0.3)) == 0.0
+        cut = HalfspaceCut(rng.standard_normal(3), 0.3)
+        assert dual_multipliers(H, np.zeros(3), cut, _vacuous(3))[0] == 0.0
 
     def test_scaled_cut_keeps_dual_contribution(self):
         # the cut set is invariant under (a, beta) -> (kappa a, kappa beta);
@@ -129,8 +151,9 @@ class TestTau:
             s, a = rng.standard_normal(3), rng.standard_normal(3)
             beta = float(rng.uniform(-0.3, 0.5)) * np.linalg.norm(a)
             kappa = float(rng.uniform(0.1, 10))
-            t1 = tau(H, s, HalfspaceCut(a, beta))
-            t2 = tau(H, s, HalfspaceCut(kappa * a, kappa * beta))
+            t1 = dual_multipliers(H, s, HalfspaceCut(a, beta), _vacuous(3))[0]
+            t2 = dual_multipliers(H, s, HalfspaceCut(kappa * a, kappa * beta),
+                                  _vacuous(3))[0]
             assert kappa * t2 == pytest.approx(t1, rel=1e-9, abs=1e-12)
             v1 = support_value_xi(H, s, HalfspaceCut(a, beta))
             v2 = support_value_xi(H, s, HalfspaceCut(kappa * a, kappa * beta))
@@ -140,7 +163,7 @@ class TestTau:
         H = np.eye(2)
         a = np.array([1.0, 0.0])
         with pytest.raises(SlaterViolation):
-            tau(H, np.ones(2), HalfspaceCut(a, -2.0))
+            dual_multipliers(H, np.ones(2), HalfspaceCut(a, -2.0), _vacuous(2))
 
 
 class TestSupportValue:
@@ -216,7 +239,7 @@ class TestDualMultipliers:
         c1 = HalfspaceCut(np.array([1.0, 0.0]), 0.0)
         c2 = HalfspaceCut(np.array([0.0, 1.0]), 10.0)  # slack by 10 > ball radius
         mu = dual_multipliers(H, s, c1, c2)
-        assert mu == (tau(H, s, c1), 0.0)
+        assert mu == (dual_multipliers(H, s, c1, _vacuous(2))[0], 0.0)
         assert mu[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_never_beaten_by_candidates(self):
@@ -234,7 +257,8 @@ class TestDualMultipliers:
             mu = np.array(dual_multipliers(H, s, c1, c2))
             phi = two_cut_objective(H, s, a1, b1, a2, b2)
             val = float(phi(mu))
-            t1, t2 = tau(H, s, c1), tau(H, s, c2)
+            t1 = dual_multipliers(H, s, c1, _vacuous(n))[0]
+            t2 = dual_multipliers(H, s, c2, _vacuous(n))[0]
             for cand in ([t1, 0.0], [0.0, t2], [0.0, 0.0]):
                 assert val <= float(phi(np.array(cand))) + 1e-10
             rand = rng.uniform(0, 3, size=(1000, 2))
@@ -246,7 +270,7 @@ class TestDualMultipliers:
         s = np.array([1.0, 0.3, -0.2])
         a = np.array([1.0, 0.0, 0.0])
         mu = dual_multipliers(H, s, HalfspaceCut(a, 0.1), HalfspaceCut(2 * a, 0.2))
-        t = tau(H, s, HalfspaceCut(a, 0.1))
+        t = dual_multipliers(H, s, HalfspaceCut(a, 0.1), _vacuous(3))[0]
         phi = two_cut_objective(H, s, a, 0.1, 2 * a, 0.2)
         assert float(phi(np.array(mu))) == pytest.approx(float(phi(np.array([t, 0.0]))),
                                                          abs=1e-12)

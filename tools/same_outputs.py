@@ -14,7 +14,9 @@ stdout byte for byte.  Besides the benchmark's five commands, a terminal
 covers trace rows with empty cells (no ``f_value``).  Only the
 ``wall_time_us`` column of trace CSVs and the ``problem:`` line of
 summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
-output and exits 1 on any DIFF.
+output and exits 1 on any DIFF.  A command that exits non-zero on either
+tree is printed as ``FAIL <command> (<tree>)`` and also makes the exit code 1,
+even when both trees fail alike.
 """
 
 from __future__ import annotations
@@ -101,11 +103,12 @@ def _normalized(path: Path) -> bytes:
     return b"\n".join(line for line in lines if not line.startswith(b"problem: "))
 
 
-def _run_tree(tree: Path, work: Path, problems: dict) -> dict:
-    """Run every command against ``tree``; map output name to its path."""
+def _run_tree(tree: Path, work: Path, problems: dict) -> tuple[dict, list]:
+    """Run every command against ``tree``; map output name to its path, and
+    list the commands that exited non-zero."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    outputs = {}
+    outputs, failed = {}, []
     for name, problem, args in COMMANDS:
         out_dir = work / name
         out_dir.mkdir(parents=True)
@@ -115,9 +118,11 @@ def _run_tree(tree: Path, work: Path, problems: dict) -> dict:
             cwd=work, env=env, capture_output=True)
         (out_dir / "stdout.txt").write_bytes(proc.stdout)
         (out_dir / "exit.txt").write_text(f"{proc.returncode}\n{proc.stderr.decode()}")
+        if proc.returncode != 0:
+            failed.append(name)
         for path in sorted(out_dir.iterdir()):
             outputs[f"{name}/{path.name}"] = path
-    return outputs
+    return outputs, failed
 
 
 def main(argv=None) -> int:
@@ -134,16 +139,23 @@ def main(argv=None) -> int:
         for name in sorted({problem for _, problem, _ in COMMANDS}):
             problems[name] = work / f"{name}.json"
             problems[name].write_text(json.dumps(_problem(name, generate)))
-        before = _run_tree(parent, work / "parent", problems)
-        after = _run_tree(change, work / "change", problems)
+        before, failed_before = _run_tree(parent, work / "parent", problems)
+        after, failed_after = _run_tree(change, work / "change", problems)
         diffs = 0
         for key in sorted(set(before) | set(after)):
             same = (key in before and key in after
                     and _normalized(before[key]) == _normalized(after[key]))
             diffs += not same
             print(f"{'same' if same else 'DIFF'}  {key}")
-    print(f"{diffs} DIFF" if diffs else "all same")
-    return 1 if diffs else 0
+    fails = [f"{name} ({side})" for side, names in
+             (("parent", failed_before), ("change", failed_after)) for name in names]
+    for fail in fails:
+        print(f"FAIL  {fail}")
+    if diffs or fails:
+        print(f"{diffs} DIFF, {len(fails)} FAIL")
+        return 1
+    print("all same")
+    return 0
 
 
 if __name__ == "__main__":
