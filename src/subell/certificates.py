@@ -6,17 +6,22 @@ bounds, after normalizing by the productive weight instead, the *residual*
 that controls problem-specific inaccuracy measures (functional error,
 primal-dual gap, dual gap function).
 
-The constructions here all reduce to one backward pass (``augment``): walk
+Every construction here reduces to one backward sweep (``augment``): walk
 the recorded localizers from the last step to the first, each time dualizing
-the subgradient cut of that step via the two-constraint multiplier routine,
-and fold the multiplier into the running direction.  The pass never forms
-an operator: after one O(n^2) matrix-vector product with the last operator
-it carries ``H_i s`` backward through the recorded rank-one updates, so each
-backward step costs O(n).
+the subgradient cut of that step against the running direction and folding
+the multiplier into it.  The sweep carries several directions at once, one
+column per certificate, and a column joins when the sweep reaches its
+checkpoint; the part of the two-cut kernel that reads only the cuts runs
+once per record.  The sweep never forms an operator: it carries ``H_i s``
+backward through the recorded rank-one updates in O(n) per record and
+column.  A column starts from ``H_k s`` at its checkpoint, which the records
+give without any operator on the preliminary and terminal pathways
+(``Checkpoint.at``); only the min-width direction needs ``H_k``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +29,15 @@ import numpy as np
 
 from .linalg import spd_inverse, top_eigenpair
 from .solver import HistoryRecord, SolverState, avg_radius
-from .support import HalfspaceCut, dual_multipliers
+# ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
+# tracer looks it up in this module
+from .support import _cut_pair, _direction_pair, dual_multipliers  # noqa: F401
+
+PRELIMINARY, TERMINAL, MIN_WIDTH = "preliminary", "terminal", "min-width"
+
+# a direction whose norm is below this share of the magnitude of the terms
+# it sums is rounding noise (the summation error bound, with room)
+CANCELLED = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -52,7 +65,8 @@ class Semicertificate:
             )
         if np.any(weights < 0.0):
             raise ValueError("certificate weights must be nonnegative")
-        gnorms = np.array([float(np.linalg.norm(r.g)) for r in records])
+        G = np.array([r.g for r in records])
+        gnorms = np.sqrt(np.einsum("ij,ij->i", G, G))
         prod = np.array([r.productive for r in records])
         return cls(
             weights=weights,
@@ -65,22 +79,13 @@ class Semicertificate:
         return self.productive_weight > 0.0
 
 
-def _weighted_model(weights: np.ndarray,
-                    records: Sequence[HistoryRecord]) -> tuple[np.ndarray, float]:
-    """Aggregate direction w = sum(lambda_i g_i) and value sum(lambda_i <g_i, x_i>)."""
-    w = np.zeros_like(records[0].g)
-    val = 0.0
-    for lam_i, rec in zip(weights, records):
-        if lam_i != 0.0:
-            w += lam_i * rec.g
-            val += lam_i * float(rec.g @ rec.x)
-    return w, val
-
-
 def _ball_max(weights: np.ndarray, records: Sequence[HistoryRecord],
               x0: np.ndarray, R: float) -> float:
-    """max over x in B(x0, R) of sum(lambda_i <g_i, x_i - x>), in closed form."""
-    w, val = _weighted_model(weights, records)
+    """max over x in B(x0, R) of sum(lambda_i <g_i, x_i - x>), in closed form:
+    with w = sum(lambda_i g_i), it is sum(lambda_i <g_i, x_i>) - <w, x0> + R|w|."""
+    G = np.array([r.g for r in records])
+    w = weights @ G
+    val = float(weights @ np.einsum("ij,ij->i", G, np.array([r.x for r in records])))
     return val - float(w @ x0) + R * float(np.linalg.norm(w))
 
 
@@ -119,8 +124,77 @@ def _step_back(v: np.ndarray, rec: HistoryRecord, s: np.ndarray) -> None:
         v += (beta * float(rec.Hg @ s)) * rec.Hg
 
 
-def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
-            final_operator: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+def _column(records: Sequence[HistoryRecord], k: int, s: np.ndarray,
+            hs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The sweep column ``(k, s, H_{k-1} s)`` from ``hs = H_k s``, which is
+    stepped back in place."""
+    if k > 0:
+        _step_back(hs, records[k - 1], s)
+    return k, s, hs
+
+
+def _sweep(records: Sequence[HistoryRecord], columns) -> tuple[np.ndarray, np.ndarray]:
+    """One backward pass over ``records`` for every column ``(k, s, H_{k-1} s)``.
+
+    The live columns are the rows of two blocks, ``S`` and ``V = H_i S``;
+    column j joins at record ``k_j - 1``.  Per record, the cut-only half of
+    the two-cut kernel runs once, the Gram scalars of the live columns come
+    from three block products, and the direction half runs per column.  The
+    multipliers fold in as ``S -= mu g^T`` and ``V -= mu (Hg)^T``, and the
+    rank-one step back is ``V += beta Hg (Hg^T S)``.
+
+    Each column carries ``M = |s_k| + sum(mu_i |g_i|)``, the magnitude of
+    the terms its direction sums; once ``|s| <= CANCELLED M`` the direction
+    is rounding noise, and the column is zeroed in ``S`` and ``V``, so every
+    later multiplier of it is 0.  Returns ``(mus, S_0)`` with one row per
+    column, in the order given; ``mus[j, i]`` is 0 for ``i >= k_j``.
+    """
+    K = len(records)
+    if any(not 0 <= k <= K for k, _, _ in columns):
+        raise ValueError(f"a column starts outside the {K} records")
+    # latest checkpoint first, so the live columns are a leading block
+    order = sorted(range(len(columns)), key=lambda j: columns[j][0], reverse=True)
+    joins = [columns[j][0] for j in order]
+    S = np.array([columns[j][1] for j in order], dtype=float)
+    V = np.array([columns[j][2] for j in order], dtype=float)
+    mags = np.sqrt((S * S).sum(axis=1))
+    mus = np.zeros((len(columns), K))
+    live = 0
+    for i in range(K - 1, -1, -1):
+        rec = records[i]
+        g, hg, D = rec.g, rec.Hg, rec.D
+        gHg = float(g.dot(hg))
+        if live and rec.b != 0.0:  # H_{i+1} S -> H_i S
+            Vt = V[:live]
+            Vt += (rec.b / (1.0 + rec.b * gHg) * S[:live].dot(hg))[:, None] * hg
+        while live < len(joins) and joins[live] > i:
+            live += 1
+        if not live:
+            continue
+        St, Vt = S[:live], V[:live]
+        c, zx = rec.c, rec.z - rec.x
+        pair = _cut_pair(D * float(c.dot(zx)), D * gHg, D * float(c.dot(hg)),
+                         rec.sigma - float(c.dot(rec.z)), -float(g.dot(zx)))
+        mu = [_direction_pair(D * sv, D * vc, D * vg, pair)[1] for sv, vc, vg in zip(
+            (St * Vt).sum(axis=1).tolist(), Vt.dot(c).tolist(), Vt.dot(g).tolist())]
+        if not any(mu):
+            continue
+        mu = np.array(mu)
+        mus[:live, i] = mu
+        St -= mu[:, None] * g
+        Vt -= mu[:, None] * hg
+        mags[:live] += mu * math.sqrt(float(g.dot(g)))
+        cancelled = (St * St).sum(axis=1) <= (CANCELLED * mags[:live]) ** 2
+        if cancelled.any():
+            St[cancelled] = 0.0
+            Vt[cancelled] = 0.0
+    back = np.argsort(order)
+    return mus[back], S[back]
+
+
+def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = None,
+            final_operator: Optional[np.ndarray] = None, *,
+            columns=None) -> tuple[np.ndarray, np.ndarray]:
     """Backward dual-multiplier pass.
 
     Given a direction ``s_k``, walks the recorded localizers backward,
@@ -131,38 +205,105 @@ def augment(records: Sequence[HistoryRecord], s_final: np.ndarray,
     second multiplier) and replacing ``s_i = s_{i+1} - mu_i g_i``.
 
     The multiplier routine needs only ``H_i s``, ``H_i c_i = z_i - x_i`` and
-    ``H_i g_i`` (recorded).  ``v = H_i s`` starts from ``final_operator``
-    (the operator after the last record) stepped back one record, or else
-    from the last record's replayed operator ``records[-1].H``, and then
-    follows ``s`` and the inverted rank-one updates in O(n) per step.
+    ``H_i g_i`` (recorded).  For one direction ``s_final``, ``v = H_i s``
+    starts from ``final_operator`` (the operator after the last record)
+    stepped back one record, or else from the last record's replayed
+    operator ``records[-1].H``; returns ``(mu, s_0)``.  The weights mu
+    satisfy: the support of the augmented model over the initial ball never
+    exceeds the support of ``s_k`` over the final localizer.
 
-    Returns ``(mu, s_0)``.  The weights mu satisfy: the support of the
-    augmented model over the initial ball never exceeds the support of
-    ``s_k`` over the final localizer.
+    ``columns`` instead lists several directions for one sweep, each as
+    ``(k, s, H_{k-1} s)``: the direction of the localizer after the first k
+    records, which joins the sweep at record ``k - 1``.  Returns
+    ``(mus, S_0)`` with one row per column.
     """
-    mus = np.zeros(len(records))
-    s = np.asarray(s_final, dtype=float).copy()
+    if columns is not None:
+        return _sweep(records, columns)
+    s = np.asarray(s_final, dtype=float)
     if not records:
-        return mus, s
-    if final_operator is not None:
-        v = final_operator @ s
-        _step_back(v, records[-1], s)
+        return np.zeros(0), s.copy()
+    if final_operator is None:
+        column = (len(records), s, records[-1].H @ s)
     else:
-        v = records[-1].H @ s
-    for i in reversed(range(len(records))):
-        rec = records[i]
-        cut_model = HalfspaceCut(rec.c, rec.sigma - float(rec.c @ rec.z))
-        cut_step = HalfspaceCut(rec.g, float(rec.g @ (rec.x - rec.z)))
-        _, mu = dual_multipliers(
-            None, s, cut_model, cut_step,
-            products=(rec.D * v, rec.D * (rec.z - rec.x), rec.D * rec.Hg))
-        mus[i] = mu
-        if mu != 0.0:
-            s -= mu * rec.g
-            v -= mu * rec.Hg
-        if i > 0:
-            _step_back(v, records[i - 1], s)
-    return mus, s
+        column = _column(records, len(records), s, final_operator @ s)
+    mus, S = _sweep(records, [column])
+    return mus[0], S[0]
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """Where one certificate starts in the sweep: the first ``k`` records,
+    its pathway, the sweep columns it owns and, for the min-width pathway,
+    the direction."""
+
+    k: int
+    pathway: str
+    columns: tuple
+    direction: Optional[np.ndarray] = None
+
+    @classmethod
+    def at(cls, records: Sequence[HistoryRecord], k: int, pathway: str,
+           operator: Optional[np.ndarray] = None) -> "Checkpoint":
+        """Start vectors of the certificate of ``records[:k]``; ``operator``
+        is ``H_k``, the operator after those records.
+
+        * preliminary: ``s = -c_k``, with ``H_k s = -(z_k - x_k)`` read from
+          record k when there is one, else formed with ``operator``, else
+          ``H_{k-1} s`` from the replayed ``records[k-1].H``;
+        * terminal (``k = len(records)``, the last record terminal):
+          ``s = -g_{k-1}`` over the records before it, with
+          ``H_{k-1} s = -records[k-1].Hg``;
+        * min-width: ``+-d`` for the min-width direction d of ``operator``.
+        """
+        if not 1 <= k <= len(records):
+            raise ValueError(f"cannot certify {k} of {len(records)} records")
+        if pathway == TERMINAL:
+            last = records[k - 1]
+            return cls(k, pathway, (_column(records, k - 1, -last.g, -last.Hg),))
+        if pathway == MIN_WIDTH:
+            _, d = top_eigenpair(spd_inverse(operator))
+            return cls(k, pathway, (_column(records, k, d, operator @ d),
+                                    _column(records, k, -d, operator @ -d)), d)
+        if pathway != PRELIMINARY:
+            raise ValueError(f"unknown certificate pathway {pathway!r}")
+        if not any(rec.a > 0.0 for rec in records[:k]):
+            raise ValueError(
+                "no preliminary weights accumulated; use the min-width certificate"
+            )
+        if k < len(records):
+            rec = records[k]
+            return cls(k, pathway, (_column(records, k, -rec.c, rec.x - rec.z),))
+        last = records[k - 1]
+        s = -(last.c + last.a * last.g)  # c_k, as the step that made it sums it
+        if operator is None:
+            return cls(k, pathway, ((k, s, last.H @ s),))
+        return cls(k, pathway, (_column(records, k, s, operator @ s),))
+
+
+def certify_checkpoints(records: Sequence[HistoryRecord],
+                        checkpoints: Sequence[Checkpoint]) -> list[Semicertificate]:
+    """The certificates of several prefixes of one run from a single
+    backward sweep: one ``Semicertificate`` per checkpoint.
+
+    The weights are the step weights plus the multipliers (preliminary),
+    the multipliers with unit weight on the terminal step (terminal), or
+    the sum of the two directions' multipliers (min-width).
+    """
+    columns = [col for cp in checkpoints for col in cp.columns]
+    top = max(k for k, _, _ in columns)
+    mus, _ = augment(records[:top], columns=columns)
+    out, row = [], 0
+    for cp in checkpoints:
+        mu, head = mus[row:row + len(cp.columns), :cp.k], records[:cp.k]
+        row += len(cp.columns)
+        if cp.pathway == TERMINAL:
+            weights = np.append(mu[0, :cp.k - 1], 1.0)
+        elif cp.pathway == MIN_WIDTH:
+            weights = mu[0] + mu[1]
+        else:
+            weights = np.array([rec.a for rec in head]) + mu[0]
+        out.append(Semicertificate.from_weights(weights, head))
+    return out
 
 
 def certify_from_preliminary(records: Sequence[HistoryRecord],
@@ -173,30 +314,18 @@ def certify_from_preliminary(records: Sequence[HistoryRecord],
 
     Nonterminal runs: augment against the accumulated model direction
     ``-sum(a_i g_i)`` and add the multipliers to the step weights; the gap of
-    the result never exceeds the sliding gap.  Terminal runs (gap test hit,
-    or zero subgradient): augment the preceding steps against the last
-    subgradient and give the terminal step unit weight; the gap of the
-    result is at most the termination threshold.
+    the result never exceeds the sliding gap.  ``final_operator``, the
+    operator after the records, saves replaying the last record's.  Terminal
+    runs (gap test hit, or zero subgradient): augment the preceding steps
+    against the last subgradient and give the terminal step unit weight; the
+    gap of the result is at most the termination threshold.  The one-checkpoint
+    case of ``certify_checkpoints``.
     """
     if not records:
         raise ValueError("cannot certify an empty history")
-    if terminal:
-        head = records[:-1]
-        s_final = -records[-1].g
-        if head:
-            mus, _ = augment(head, s_final, final_operator=final_operator)
-        else:
-            mus = np.zeros(0)
-        weights = np.concatenate([mus, [1.0]])
-        return Semicertificate.from_weights(weights, records)
-    prelim = np.array([rec.a for rec in records])
-    if not np.any(prelim > 0.0):
-        raise ValueError(
-            "no preliminary weights accumulated; use the min-width certificate"
-        )
-    w, _ = _weighted_model(prelim, records)
-    mus, _ = augment(records, -w, final_operator=final_operator)
-    return Semicertificate.from_weights(prelim + mus, records)
+    pathway = TERMINAL if terminal else PRELIMINARY
+    start = Checkpoint.at(records, len(records), pathway, final_operator)
+    return certify_checkpoints(records, [start])[0]
 
 
 @dataclass(frozen=True)
@@ -210,6 +339,18 @@ class MinWidthReport:
     gap_bound: Optional[float]     # 2 rho D / (r - rho); None when rho >= r
 
 
+def min_width_bound(state: SolverState, diameter: float,
+                    inner_radius: float) -> tuple[float, Optional[float]]:
+    """``(rho, gap_bound)`` of the min-width certificate at ``state``: rho is
+    twice the average radius, and the bound 2 rho D / (r - rho), or None
+    when rho >= r."""
+    rho = 2.0 * avg_radius(state)
+    bound = None
+    if rho < inner_radius:
+        bound = 2.0 * rho * diameter / (inner_radius - rho)
+    return rho, bound
+
+
 def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
                                state: SolverState,
                                diameter: float,
@@ -217,23 +358,18 @@ def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
     """Min-width certificate for runs of the standard ellipsoid strategy.
 
     The direction of minimal width of the final ellipsoid is the top unit
-    eigenvector of the inverse metric's inverse; two backward passes from
+    eigenvector of the inverse metric's inverse; two sweep columns from
     ``state.H``, the operator after the records (one for the direction, one
     for its negation), produce weights whose gap over the initial ball is at
     most 2 rho D / (r - rho), rho = 2 avrad, provided rho < r.  When
     rho >= r the weights are still returned but the bound is reported as
-    vacuous (gap_bound None).
+    vacuous (gap_bound None).  The one-checkpoint case of
+    ``certify_checkpoints``.
     """
     if not records:
         raise ValueError("cannot certify an empty history")
-    G = spd_inverse(state.H)
-    _, direction = top_eigenpair(G)
-    mu_fwd, _ = augment(records, direction, final_operator=state.H)
-    mu_bwd, _ = augment(records, -direction, final_operator=state.H)
-    cert = Semicertificate.from_weights(mu_fwd + mu_bwd, records)
-    rho = 2.0 * avg_radius(state)
-    bound = None
-    if rho < inner_radius:
-        bound = 2.0 * rho * diameter / (inner_radius - rho)
-    return MinWidthReport(certificate=cert, direction=direction, rho=rho,
+    start = Checkpoint.at(records, len(records), MIN_WIDTH, state.H)
+    cert = certify_checkpoints(records, [start])[0]
+    rho, bound = min_width_bound(state, diameter, inner_radius)
+    return MinWidthReport(certificate=cert, direction=start.direction, rho=rho,
                           gap_bound=bound)

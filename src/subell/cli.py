@@ -5,10 +5,12 @@ Every flag can also be supplied through an environment variable with the
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
 
-The solver's history keeps no operator ``H_k``.  ``certify`` replays the
-state at each checkpoint from the previous one (``reconstruct_state``, one
-n x n operator at a time) and hands its operator to the certificate pass,
-whose backward steps are matrix-free.
+The solver's history keeps no operator ``H_k``.  ``certify`` builds every
+checkpoint's certificate from one matrix-free backward sweep over the
+records.  The preliminary and terminal pathways start from the records and
+the final state alone; only the min-width pathway replays the state at each
+checkpoint, chained from the previous one (``reconstruct_state``, one n x n
+operator at a time), for the direction of its operator.
 
 Exit code 2 reports a load, validation or usage error and 3 a numerical
 failure of the solver or the certificate pass, on stderr without a traceback.
@@ -227,42 +229,42 @@ def cmd_certify(args) -> int:
     config, note = _config(args, problem)
     result = run(problem, config, args.iters)
     records = result.records
+    total = len(records)
     terminal = result.termination in ("gap-threshold", "zero-subgradient")
+
+    # every checkpoint's start vectors, then one backward sweep for all of
+    # them; only the min-width pathway needs a checkpoint's operator, and its
+    # states are replayed in one chain, each from the previous one
+    starts, bounds = [], []
+    state_k = None
+    for k in _checkpoints(args.cadence, total):
+        rho = bound = None
+        if k == total and terminal:
+            start = certs.Checkpoint.at(records, k, certs.TERMINAL)
+        elif config.variant == VARIANT_ELLIPSOID:
+            state_k = reconstruct_state(problem, records, k, result.state, start=state_k)
+            start = certs.Checkpoint.at(records, k, certs.MIN_WIDTH, state_k.H)
+            rho, bound = certs.min_width_bound(state_k, problem.feasible.diameter,
+                                               problem.inner_radius)
+        else:
+            start = certs.Checkpoint.at(records, k, certs.PRELIMINARY,
+                                        result.state.H if k == total else None)
+        starts.append(start)
+        bounds.append((rho, bound))
+    certified = certs.certify_checkpoints(records, starts)
 
     cert_rows = []
     cert_dump = []
-    checkpoints = _checkpoints(args.cadence, len(records))
-    # each checkpoint's state is replayed from the previous one; after a
-    # terminal run the last one is the state before the terminal record,
-    # whose operator the terminal pass needs
-    state_k = None
-    for k in checkpoints:
-        state_k = reconstruct_state(problem, records, k, result.state, start=state_k)
-        at_end = k == len(records)
-        rho = bound = None
-        if at_end and terminal:
-            pathway = "terminal"
-            cert = certs.certify_from_preliminary(records, terminal=True,
-                                                  final_operator=state_k.H)
-        elif config.variant == VARIANT_ELLIPSOID:
-            pathway = "min-width"
-            report = certs.certify_standard_ellipsoid(
-                records[:k], state_k, problem.feasible.diameter,
-                problem.inner_radius)
-            cert, rho, bound = report.certificate, report.rho, report.gap_bound
-        else:
-            pathway = "preliminary"
-            cert = certs.certify_from_preliminary(records[:k],
-                                                  final_operator=state_k.H)
-        used = records if (at_end and terminal) else records[:k]
+    for start, cert, (rho, bound) in zip(starts, certified, bounds):
+        k, used = start.k, records[:start.k]
         g = certs.gap(cert, used, problem.x0, problem.R) \
             if cert.gamma_weighted > 0 else None
         res = certs.residual(cert, used, problem.x0, problem.R) \
             if cert.is_certificate else None
-        cert_rows.append((k, pathway, cert.gamma_weighted, cert.productive_weight,
-                          g, res, rho, bound))
-        cert_dump.append({"k": k, "pathway": pathway, "gap": g, "residual": res,
-                          "weights": cert.weights.tolist()})
+        cert_rows.append((k, start.pathway, cert.gamma_weighted,
+                          cert.productive_weight, g, res, rho, bound))
+        cert_dump.append({"k": k, "pathway": start.pathway, "gap": g,
+                          "residual": res, "weights": cert.weights.tolist()})
         if k < len(result.rows) and g is not None:
             result.rows[k].cert_gap = g
 

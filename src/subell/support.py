@@ -14,6 +14,15 @@ point behind it (``_stationary``) in closed form.  A single cut's multiplier
 is the first component of ``dual_multipliers`` against a vacuous second cut
 (zero normal, zero offset).
 
+The two-cut core comes in two halves, so that a caller with many directions
+against the same pair of cuts checks the cuts once: ``_cut_pair`` reads only
+the cuts (the offset checks, the dual norms and which cut is redundant
+given the other), and ``_direction_pair`` reads the direction and holds
+every branch on it.  ``dual_multipliers`` calls both for one direction; the
+certificate sweep calls the first once per record and the second once per
+direction.  The direction half computes only the single-cut multipliers its
+branch returns.
+
 The dual is positively homogeneous in ``s``, in each cut and in ``(H, b)``
 (H quadratically), so every tolerance is relative to the dual norms of the
 vectors it compares: a sign test of ``a`` against ``s`` allows
@@ -31,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,21 +98,34 @@ def _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, fl
     return (a1Hs - r * b1) / a1Ha1 - k * u2, u2
 
 
-def _tau_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
-    """Single-cut multiplier from the Gram values of (s, a) under H."""
+def _cut_norm(aHa: float, beta: float) -> float:
+    """``|a|*`` of the cut ``<a, x> <= beta`` on the unit ball of the metric,
+    after the offset check: a cut whose offset lies below ``-|a|*`` leaves
+    no interior point and raises ``SlaterViolation``."""
     if aHa <= 0.0:  # zero normal: vacuous cut, feasible only with beta >= 0
         if beta < 0.0:
             raise SlaterViolation(f"zero-normal cut with offset {beta:g}")
         return 0.0
-    nrm_a = nonneg_sqrt(aHa, aHa)
+    nrm_a = math.sqrt(aHa)
     if beta < -nrm_a - SLATER_TOL * nrm_a:
         raise SlaterViolation(f"offset {beta:g} < -|a|* = {-nrm_a:g}")
-    if sHs <= 0.0:
-        return 0.0  # s = 0: objective is nondecreasing in tau
-    nrm_s = nonneg_sqrt(sHs, sHs)
+    return nrm_a
+
+
+def _single_cut(sHs: float, aHs: float, aHa: float, nrm_a: float, beta: float) -> float:
+    """Multiplier of one cut that passed ``_cut_norm`` (``nrm_a = |a|*``)
+    from the Gram values of (s, a) under H."""
+    if aHa <= 0.0 or sHs <= 0.0:
+        return 0.0  # vacuous cut, or s = 0: objective is nondecreasing in tau
+    nrm_s = math.sqrt(sHs)
     if aHs <= beta * nrm_s + SLATER_TOL * nrm_a * nrm_s:
         return 0.0
     return _stationary(sHs, aHs, 0.0, aHa, 1.0, 0.0, beta, 0.0)[0]
+
+
+def _tau_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
+    """Single-cut multiplier from the Gram values of (s, a) under H."""
+    return _single_cut(sHs, aHs, aHa, _cut_norm(aHa, beta), beta)
 
 
 def _xi_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
@@ -114,21 +135,34 @@ def _xi_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
     return nonneg_sqrt(rad, max(sHs, t * t * aHa), "in xi") + t * beta
 
 
-def _two_cut_gram(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, float]:
-    """Optimal multiplier pair of the two-cut dual from its six Gram scalars
-    and the two offsets."""
-    tau1 = _tau_gram(sHs, a1Hs, a1Ha1, b1)
-    tau2 = _tau_gram(sHs, a2Hs, a2Ha2, b2)
-    nrm_a1 = nonneg_sqrt(a1Ha1, a1Ha1)
-    nrm_a2 = nonneg_sqrt(a2Ha2, a2Ha2)
+def _cut_pair(a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple:
+    """The half of the two-cut kernel that reads only the cuts: both offset
+    checks (``SlaterViolation``), ``|a1|*`` and ``|a2|*``, and the
+    ball-within-cut redundancy tests.  Returns the tuple ``_direction_pair``
+    reads: the five inputs, the two norms, and which cut is left, 1 when cut
+    2 is redundant given cut 1, 2 when cut 1 is redundant given cut 2, and 0
+    when neither is."""
+    nrm_a1 = _cut_norm(a1Ha1, b1)
+    nrm_a2 = _cut_norm(a2Ha2, b2)
+    left = 0
+    if _xi_gram(a2Ha2, a1Ha2, a1Ha1, b1) <= b2 + SLATER_TOL * nrm_a2:
+        left = 1  # max <a2, x> subject to cut 1 meets cut 2
+    elif _xi_gram(a1Ha1, a1Ha2, a2Ha2, b2) <= b1 + SLATER_TOL * nrm_a1:
+        left = 2  # max <a1, x> subject to cut 2 meets cut 1
+    return a1Ha1, a2Ha2, a1Ha2, b1, b2, nrm_a1, nrm_a2, left
 
-    # ball-within-cut redundancy: the other constraint can be dropped outright
-    xi1 = _xi_gram(a2Ha2, a1Ha2, a1Ha1, b1)  # max <a2, x> subject to cut1
-    if xi1 <= b2 + SLATER_TOL * nrm_a2:
-        return tau1, 0.0
-    xi2 = _xi_gram(a1Ha1, a1Ha2, a2Ha2, b2)  # max <a1, x> subject to cut2
-    if xi2 <= b1 + SLATER_TOL * nrm_a1:
-        return 0.0, tau2
+
+def _direction_pair(sHs, a1Hs, a2Hs, pair) -> tuple[float, float]:
+    """The half of the two-cut kernel that reads the direction: the optimal
+    multiplier pair from the three Gram scalars of ``s`` and the cut data
+    ``pair`` of ``_cut_pair``.  The only statement of the branches."""
+    a1Ha1, a2Ha2, a1Ha2, b1, b2, nrm_a1, nrm_a2, left = pair
+    if left == 1:
+        return _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1), 0.0
+    if left == 2:
+        return 0.0, _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
+    tau1 = _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1)
+    tau2 = _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
 
     # single-cut optimizer feasible for the other cut
     r1 = sHs - 2.0 * tau1 * a1Hs + tau1 * tau1 * a1Ha1
@@ -159,21 +193,18 @@ def support_value_xi(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
     return _xi_gram(float(s @ Hs), float(a @ Hs), float(a @ (H @ a)), cut.offset)
 
 
-def dual_multipliers(
-    H: Optional[np.ndarray], s: np.ndarray, cut1: HalfspaceCut, cut2: HalfspaceCut,
-    *, products: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> tuple[float, float]:
+def dual_multipliers(H: np.ndarray, s: np.ndarray, cut1: HalfspaceCut,
+                     cut2: HalfspaceCut) -> tuple[float, float]:
     """Optimal nonnegative multiplier pair for two linear cuts of an ellipsoid.
 
     Solves ``min_{mu >= 0} |s - mu1 a1 - mu2 a2|*_H + mu1 b1 + mu2 b2`` by
-    case analysis: first each cut alone, then redundancy of one cut inside
-    the other, then the sign test telling whether the single-cut optimizer
+    case analysis: first redundancy of one cut inside the other, then each
+    cut alone, then the sign test telling whether the single-cut optimizer
     already satisfies the remaining constraint, and finally the genuine
-    two-constraint stationary point.  ``products`` is ``(H s, H a1, H a2)``
-    when the caller already has them; ``H`` is then not read.
+    two-constraint stationary point.
     """
     a1, a2 = cut1.normal, cut2.normal
-    Hs, Ha1, Ha2 = products if products is not None else (H @ s, H @ a1, H @ a2)
-    return _two_cut_gram(float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs),
-                         float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2),
-                         cut1.offset, cut2.offset)
+    Hs, Ha1, Ha2 = H @ s, H @ a1, H @ a2
+    pair = _cut_pair(float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2),
+                     cut1.offset, cut2.offset)
+    return _direction_pair(float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs), pair)

@@ -1,24 +1,26 @@
-import importlib.util
+import dataclasses
+import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subell import certificates as certs
 from subell.linalg import dual_norm, spd_inverse, symmetrize, top_eigenpair
-from subell.oracles import problem_from_dict
+from subell.cli import main
+from subell.oracles import load_problem, problem_from_dict, save_problem
 from subell.solver import (
     VARIANTS,
     Schedule,
     StrategyConfig,
     avg_radius,
+    delta_from_target,
     reconstruct_state,
     run,
     sliding_gap,
 )
-from subell.support import HalfspaceCut, _two_cut_gram, dual_multipliers
+from subell.support import HalfspaceCut, _cut_pair, _direction_pair, dual_multipliers
 
 from helpers import (
     ball_support_with_cuts,
@@ -29,6 +31,7 @@ from helpers import (
     vi_dual_gap,
     vi_problem,
 )
+from test_cli import _perfbench_module
 from test_solver import FAMILIES
 
 
@@ -408,9 +411,12 @@ def _reference_augment(records, s_final, final_operator):
     """The backward pass with every operator formed as a matrix: ``H_i``
     rebuilt from its successor by inverting the rank-one update, starting
     from ``final_operator``, and the multipliers from
-    ``dual_multipliers(D_i H_i, ...)``."""
+    ``dual_multipliers(D_i H_i, ...)``.  A direction that cancels to
+    ``|s| <= CANCELLED (|s_k| + sum mu_i |g_i|)`` is rounding noise and set
+    to zero, as in the sweep."""
     mus = np.zeros(len(records))
     s = np.asarray(s_final, dtype=float).copy()
+    mag = float(np.linalg.norm(s))
     H_next = final_operator
     for i in reversed(range(len(records))):
         rec = records[i]
@@ -425,6 +431,9 @@ def _reference_augment(records, s_final, final_operator):
         mus[i] = mu
         if mu != 0.0:
             s = s - mu * rec.g
+            mag += mu * float(np.linalg.norm(rec.g))
+            if np.linalg.norm(s) <= certs.CANCELLED * mag:
+                s = np.zeros_like(s)
         H_next = H_i
     return mus, s
 
@@ -451,9 +460,9 @@ def _exact_augment(records, s_final):
         c, g = _fraction(rec.c), _fraction(rec.g)
         Hs, Hc, Hg = H @ s, H @ c, H @ g
         grams = (s @ Hs, c @ Hs, g @ Hs, c @ Hc, g @ Hg, c @ Hg)
-        _, mu = _two_cut_gram(*(float(Fraction(rec.D) * q) for q in grams),
-                              rec.sigma - float(rec.c @ rec.z),
-                              float(rec.g @ (rec.x - rec.z)))
+        sHs, a1Hs, a2Hs, *cuts = (float(Fraction(rec.D) * q) for q in grams)
+        _, mu = _direction_pair(sHs, a1Hs, a2Hs, _cut_pair(
+            *cuts, rec.sigma - float(rec.c @ rec.z), float(rec.g @ (rec.x - rec.z))))
         mus[i] = mu
         s = s - Fraction(mu) * g
     return mus
@@ -499,11 +508,7 @@ def _gap_of(records, prob):
 
 def _perfbench_problem(n):
     """Problem 0 of seed 1 from the benchmark's generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return problem_from_dict(generate.max_affine_ball(1, n, 0))
+    return problem_from_dict(_perfbench_module("generate").max_affine_ball(1, n, 0))
 
 
 def _checkpoint_states(prob, res, ks):
@@ -594,3 +599,197 @@ class TestMatrixFreeBackwardPass:
                 _certificate_weights(_reference_mu(state_k.H), head, variant, state_k),
                 lambda: pytest.fail("outside the 1e-12 rules"),
                 _gap_of(head, prob))
+
+
+def _per_checkpoint_augment(records, s_final, final_operator):
+    """The matrix-free backward pass as it ran before the sweep, once per
+    direction: ``v = H_i s`` from ``final_operator`` stepped back record by
+    record, and the multipliers from the two-cut kernel on the Gram scalars
+    of the products ``D (v, z - x, Hg)``.  A direction that cancels to
+    ``|s| <= CANCELLED (|s_k| + sum mu_i |g_i|)`` is set to zero, as in the
+    sweep."""
+
+    def step_back(v, rec, s):
+        if rec.b == 0.0:
+            return v
+        beta = rec.b / (1.0 + rec.b * float(rec.g @ rec.Hg))
+        return v + (beta * float(rec.Hg @ s)) * rec.Hg
+
+    mus = np.zeros(len(records))
+    s = np.asarray(s_final, dtype=float).copy()
+    if not records:
+        return mus
+    mag = float(np.linalg.norm(s))
+    v = step_back(final_operator @ s, records[-1], s)
+    for i in reversed(range(len(records))):
+        rec = records[i]
+        Hs, Hc, Hg = rec.D * v, rec.D * (rec.z - rec.x), rec.D * rec.Hg
+        _, mu = _direction_pair(
+            float(s @ Hs), float(rec.c @ Hs), float(rec.g @ Hs),
+            _cut_pair(float(rec.c @ Hc), float(rec.g @ Hg), float(rec.c @ Hg),
+                      rec.sigma - float(rec.c @ rec.z), float(rec.g @ (rec.x - rec.z))))
+        mus[i] = mu
+        if mu != 0.0:
+            s, v = s - mu * rec.g, v - mu * rec.Hg
+            mag += mu * float(np.linalg.norm(rec.g))
+            if np.linalg.norm(s) <= certs.CANCELLED * mag:
+                s, v = np.zeros_like(s), np.zeros_like(v)
+        if i > 0:
+            v = step_back(v, records[i - 1], s)
+    return mus
+
+
+def _per_checkpoint_certificates(prob, res, variant, ks):
+    """Each checkpoint's weights as ``subell certify`` built them before the
+    sweep: the states replayed in one chain, and one backward pass per
+    direction, started from the checkpoint's operator."""
+    terminal = res.termination in ("gap-threshold", "zero-subgradient")
+    weights = []
+    for k, state in zip(ks, _checkpoint_states(prob, res, ks)):
+        head = res.records[:k]
+
+        def mu(records, s, H=state.H):
+            return _per_checkpoint_augment(records, s, H)
+
+        if terminal and len(head) == len(res.records):
+            weights.append(np.append(mu(head[:-1], -head[-1].g), 1.0))
+        else:
+            weights.append(_certificate_weights(mu, head, variant, state))
+    return weights
+
+
+# (problem, variant, cadence, iterations, epsilon): both benchmark problems
+# on both pathways, a terminal run and a saddle problem
+SWEEP_CASES = {
+    "n100-preliminary": (lambda: _perfbench_problem(100), "subgrad-ellipsoid", "250",
+                         2000, None),
+    "n100-min-width": (lambda: _perfbench_problem(100), "ellipsoid", "pow2", 2000, None),
+    "n60-preliminary": (lambda: _perfbench_problem(60), "subgrad-ellipsoid", "250",
+                        2000, None),
+    "n60-min-width": (lambda: _perfbench_problem(60), "ellipsoid", "pow2", 2000, None),
+    "n10-terminal": (lambda: _perfbench_problem(10), "ellipsoid-cert", "pow2", 20000, 0.3),
+    "saddle-2x2": (lambda: saddle_problem(np.random.default_rng(16), 2, 2),
+                   "ellipsoid-cert", "pow2", 200, None),
+}
+
+
+class TestOneSweep:
+    """``subell certify`` builds every checkpoint's certificate from one
+    backward sweep; the per-checkpoint passes it replaced are the reference."""
+
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_certify_matches_per_checkpoint_passes(self, tmp_path, case):
+        make, variant, cadence, iters, epsilon = SWEEP_CASES[case]
+        path = tmp_path / "problem.json"
+        save_problem(make(), path)
+        prob = load_problem(path)
+        args = ["certify", "--problem", str(path), "--variant", variant,
+                "--iters", str(iters), "--cadence", cadence,
+                "--out", str(tmp_path / "c.csv")]
+        delta = 0.0
+        if epsilon is not None:
+            args += ["--epsilon", str(epsilon)]
+            delta = delta_from_target(epsilon, prob.inner_radius, prob.variation_bound)
+        assert main(args) == 0
+        dump = json.loads((tmp_path / "c.csv.certs.json").read_text(encoding="utf-8"))
+        config = StrategyConfig.for_variant(variant, prob.dim, schedule=Schedule("decay"),
+                                            delta_term=delta)
+        res = run(prob, config, iters, collect_trace=False)
+        checkpoints = dump["checkpoints"]
+        if epsilon is not None:
+            assert checkpoints[-1]["pathway"] == "terminal"
+        wants = _per_checkpoint_certificates(prob, res, variant,
+                                             [cp["k"] for cp in checkpoints])
+        for cp, want in zip(checkpoints, wants):
+            head = res.records[:cp["k"]]
+            got = np.array(cp["weights"])
+            _assert_agrees(got, want, lambda: pytest.fail("outside the 1e-12 rules"),
+                           _gap_of(head, prob))
+            assert cp["gap"] == _gap_of(head, prob)(got)
+
+    def test_column_joining_mid_sweep_equals_its_own_pass(self):
+        rng = np.random.default_rng(3)
+        prob = max_affine_ball(rng, 5)
+        res = run(prob, StrategyConfig.for_variant("subgrad-ellipsoid", 5,
+                                                   schedule=Schedule("decay")), 80)
+        records = res.records
+        state_37, state_60 = _checkpoint_states(prob, res, [37, 60])
+        starts = [certs.Checkpoint.at(records, 80, certs.PRELIMINARY, res.state.H),
+                  certs.Checkpoint.at(records, 37, certs.MIN_WIDTH, state_37.H),
+                  certs.Checkpoint.at(records, 60, certs.PRELIMINARY)]
+        columns = [col for start in starts for col in start.columns]
+        mus, _ = certs.augment(records, columns=columns)
+        assert mus.shape == (4, 80)
+        row = 0
+        for start in starts:
+            alone, _ = certs.augment(records[:start.k], columns=start.columns)
+            for j in range(len(start.columns)):
+                assert not np.any(mus[row + j, start.k:])
+                _assert_agrees(mus[row + j, :start.k], alone[j],
+                               lambda: pytest.fail("outside the 1e-12 rules"))
+            row += len(start.columns)
+        # the one-checkpoint entry points are the same sweep
+        joint = certs.certify_checkpoints(records, starts)
+        assert np.array_equal(
+            certs.certify_standard_ellipsoid(records[:37], state_37, 1.0, 0.5)
+            .certificate.weights, certs.certify_checkpoints(records, starts[1:2])[0].weights)
+        _assert_agrees(joint[0].weights,
+                       certs.certify_from_preliminary(records, final_operator=res.state.H)
+                       .weights, lambda: pytest.fail("outside the 1e-12 rules"))
+
+    def test_preliminary_start_needs_no_operator(self):
+        # H_k c_k = z_k - x_k: record k gives the start that H_k would
+        rng = np.random.default_rng(4)
+        prob = max_affine_ball(rng, 4)
+        res = run(prob, StrategyConfig.for_variant("ellipsoid-cert", 4), 50)
+        for state in _checkpoint_states(prob, res, [1, 17, 49]):
+            (k, s, v), = certs.Checkpoint.at(res.records, state.k, certs.PRELIMINARY).columns
+            (_, s_op, v_op), = certs.Checkpoint.at(res.records[:state.k], state.k,
+                                                   certs.PRELIMINARY, state.H).columns
+            assert k == state.k and np.array_equal(s, s_op) and np.array_equal(s, -state.c)
+            assert np.abs(v - v_op).max() <= 1e-12 * np.abs(v_op).max()
+
+    def test_terminal_run_of_one_record(self, tmp_path):
+        # the first test point already meets the gap test: the terminal
+        # certificate has an empty head and unit weight on the one record
+        prob = max_affine_ball(np.random.default_rng(20), 2)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 2, delta_term=2.0 * prob.R)
+        res = run(prob, config, 5)
+        assert res.termination == "gap-threshold" and len(res.records) == 1
+        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        assert cert.weights.tolist() == [1.0]
+        path = tmp_path / "problem.json"
+        save_problem(prob, path)
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--problem", str(path), "--delta", str(2.0 * prob.R),
+                     "--iters", "5", "--out", str(out)]) == 0
+        dump = json.loads((tmp_path / "c.csv.certs.json").read_text(encoding="utf-8"))
+        assert [(cp["k"], cp["pathway"], cp["weights"]) for cp in dump["checkpoints"]] \
+            == [(1, "terminal", [1.0])]
+
+    def test_record_with_zero_radius_gets_no_multiplier(self):
+        rng = np.random.default_rng(5)
+        prob = max_affine_ball(rng, 3)
+        res = run(prob, StrategyConfig.for_variant("subgrad-ellipsoid", 3,
+                                                   schedule=Schedule("decay")), 40)
+        s = -res.state.c
+        for i in (0, 20, 39):
+            records = list(res.records)
+            records[i] = dataclasses.replace(records[i], D=0.0)
+            got, _ = certs.augment(records, s, final_operator=res.state.H)
+            assert got[i] == 0.0
+            _assert_agrees(got, _per_checkpoint_augment(records, s, res.state.H),
+                           lambda: pytest.fail("outside the 1e-12 rules"))
+
+    def test_empty_head(self):
+        rng = np.random.default_rng(6)
+        s = unit(rng, 3)
+        mus, s0 = certs.augment([], s)
+        assert mus.shape == (0,) and np.array_equal(s0, s)
+        prob = max_affine_ball(rng, 3)
+        res = run(prob, StrategyConfig.for_variant("subgrad-ellipsoid", 3,
+                                                   schedule=Schedule("decay")), 10)
+        mus, S0 = certs.augment(res.records, columns=[(0, s, res.state.H @ s)])
+        assert mus.shape == (1, 10) and not np.any(mus) and np.array_equal(S0[0], s)
+        with pytest.raises(ValueError, match="outside"):
+            certs.augment(res.records[:3], columns=[(4, s, s)])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import subell.cli
+from subell import certificates as certs
 from subell.cli import main
 from subell.linalg import PositiveDefinitenessLost
 from subell.oracles import problem_to_dict, save_problem
@@ -351,11 +352,9 @@ def _perfbench_module(name):
     return module
 
 
-def test_traced_command_reports_every_layer_metric(tmp_path):
-    """A traced benchmark command yields every per-layer metric the benchmark
-    declares.  The tracer skips a function it cannot find where its caller
-    looks it up, and skipping drops that layer's metrics without an error,
-    so moving or renaming a traced name shows up here as missing keys."""
+def _traced_layer_metrics(tmp_path, command):
+    """The per-layer metrics of ``perfbench/child.py`` tracing ``command`` on
+    the benchmark's seed-1 n=5 problem."""
     tracer = _perfbench_module("tracer")
     problem = tmp_path / "problem.json"
     _perfbench_module("generate").write_problem(problem, 1, 5)
@@ -364,16 +363,94 @@ def test_traced_command_reports_every_layer_metric(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(measure), "1", "--",
-         "solve", "--variant", "subgrad-ellipsoid", "--iters", "20",
-         "--problem", str(problem), "--out", str(out)],
+         *command, "--problem", str(problem), "--out", str(out)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(measure.read_text(encoding="utf-8"))
     assert Path(record["subell_file"]).resolve().is_relative_to(ROOT / "src")
-    metrics = tracer.layer_metrics(record["trace"], out.stat().st_size)
+    return tracer.layer_metrics(record["trace"], out.stat().st_size)
 
+
+def _assert_every_layer_metric(metrics):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     # trace.overhead_s compares traced with untraced commands, in run.py
     want = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}
     assert set(metrics) == want
     assert all(math.isfinite(v) for v in metrics.values())
+
+
+def test_traced_command_reports_every_layer_metric(tmp_path):
+    """A traced benchmark command yields every per-layer metric the benchmark
+    declares.  The tracer skips a function it cannot find where its caller
+    looks it up, and skipping drops that layer's metrics without an error,
+    so moving or renaming a traced name shows up here as missing keys."""
+    _assert_every_layer_metric(_traced_layer_metrics(
+        tmp_path, ["solve", "--variant", "subgrad-ellipsoid", "--iters", "20"]))
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--variant", "subgrad-ellipsoid", "--iters", "20", "--cadence", "5"],
+    ["certify", "--variant", "ellipsoid", "--iters", "20"],
+], ids=["preliminary", "min-width"])
+def test_traced_certify_reports_every_layer_metric(tmp_path, command):
+    """The same for both certificate pathways, whose backward sweep is one
+    ``augment`` call per command."""
+    metrics = _traced_layer_metrics(tmp_path, command)
+    _assert_every_layer_metric(metrics)
+    assert metrics["certificates.augment_calls"] == 1
+    assert metrics["certificates.backward_steps"] == 20
+
+
+# the two healthy runs whose backward direction cancels to rounding noise
+# part-way back; before the sweep zeroed such a direction, the Gram scalars of
+# the leftover noise broke Cauchy-Schwarz and the certificate pass raised
+CANCELLED_DIRECTION_CASES = {
+    "box-subgrad-ellipsoid": ({
+        "kind": "max-of-affine", "dim": 2, "x0": [0.0, 0.0], "R": 2.0,
+        "set": {"type": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]},
+        "objective": {"rows": [
+            {"a": [-1.1669466026729662, -1.8620382937446358], "b": 0.15353624045239866},
+            {"a": [-0.12486587813767527, 0.5870451961453662], "b": -0.07942651090401012},
+            {"a": [-0.16868475783186446, -0.7145363062737409], "b": -0.024446158303762955},
+            {"a": [-0.7720605051886429, -1.1148160916252035], "b": -0.005121537415196036},
+            {"a": [2.2325577438311486, 3.104345495498214], "b": -0.20271303312565278}]},
+        "r": 0.5, "V": 5.407638123055293, "xstar": [0.0, 0.0]},
+        "subgrad-ellipsoid", 206),
+    "quadratic-ellipsoid-cert": ({
+        "kind": "quadratic-over-ball", "dim": 3, "x0": [0, 0, 0], "R": 1.0,
+        "set": {"type": "ball", "center": [0, 0, 0], "radius": 0.5},
+        "objective": {
+            "P": [[1.4705954492417834, 0.9934029462401024, -0.4472631713431489],
+                  [0.9934029462401024, 1.770870040748744, -0.5949438510898581],
+                  [-0.4472631713431489, -0.5949438510898581, 0.5607173008261078]],
+            "q": [-1.1734968971109359, -0.8584852028573179, -0.29293163466586425]},
+        "r": 0.5, "V": 4.348126855959194},
+        "ellipsoid-cert", 265),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANCELLED_DIRECTION_CASES))
+def test_cancelled_direction_certifies(tmp_path, case):
+    from subell.oracles import problem_from_dict
+    from subell.solver import Schedule, StrategyConfig, reconstruct_state, run, sliding_gap
+
+    description, variant, iters = CANCELLED_DIRECTION_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(description), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert main(["certify", "--problem", str(path), "--variant", variant,
+                 "--iters", str(iters), "--out", str(out)]) == 0
+    _, rows = _read_csv(str(out) + ".certs.csv")
+    assert [row["pathway"] for row in rows] == ["preliminary"] * len(rows)
+    prob = problem_from_dict(description)
+    res = run(prob, StrategyConfig.for_variant(variant, prob.dim,
+                                               schedule=Schedule("decay")), iters)
+    state = None
+    for row in rows:
+        state = reconstruct_state(prob, res.records, int(row["k"]), res.state, start=state)
+        assert float(row["gap"]) <= sliding_gap(state) + 1e-9, row["k"]
+    # the final checkpoint's direction cancels part-way back, and the sweep
+    # zeroes it there
+    start = certs.Checkpoint.at(res.records, iters, certs.PRELIMINARY, res.state.H)
+    mus, S0 = certs.augment(res.records, columns=start.columns)
+    assert not np.any(S0) and not np.all(mus[0])

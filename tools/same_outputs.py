@@ -14,7 +14,11 @@ stdout byte for byte.  Besides the benchmark's five commands, a terminal
 covers trace rows with empty cells (no ``f_value``).  Only the
 ``wall_time_us`` column of trace CSVs and the ``problem:`` line of
 summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
-output and exits 1 on any DIFF.  A command that exits non-zero on either
+output and exits 1 on any DIFF.  Under a DIFF in a certificate file
+(``.certs.json`` or ``.certs.csv``) one more line says how far the
+command's certificates moved, read from its two ``.certs.json``: whether
+every checkpoint keeps its support, the largest weight change relative to
+the checkpoint's largest weight, and the largest relative gap change.  A command that exits non-zero on either
 tree is printed as ``FAIL <command> (<tree>)`` and also makes the exit code 1,
 even when both trees fail alike.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,6 +108,29 @@ def _normalized(path: Path) -> bytes:
     return b"\n".join(line for line in lines if not line.startswith(b"problem: "))
 
 
+def _cert_drift(before: Path, after: Path) -> str:
+    """How far the certificates of two ``.certs.json`` files differ."""
+    old, new = (json.loads(p.read_text(encoding="utf-8"))["checkpoints"]
+                for p in (before, after))
+    if [(c["k"], c["pathway"]) for c in old] != [(c["k"], c["pathway"]) for c in new]:
+        return "checkpoints differ"
+    support, dweight, dgap = True, 0.0, 0.0
+    for a, b in zip(old, new):
+        wa = np.array(a["weights"], dtype=float)
+        wb = np.array(b["weights"], dtype=float)
+        support &= wa.shape == wb.shape and np.array_equal(wa > 0.0, wb > 0.0)
+        if wa.shape == wb.shape and wa.size:
+            scale = np.abs(wa).max()
+            dweight = max(dweight, float(np.abs(wb - wa).max() / scale) if scale else
+                          float(np.abs(wb).max()))
+        if (a["gap"] is None) != (b["gap"] is None):
+            dgap = math.inf
+        elif a["gap"] is not None and a["gap"] != b["gap"]:
+            dgap = max(dgap, abs(b["gap"] - a["gap"]) / abs(a["gap"]))
+    return (f"{'same' if support else 'different'} support, max relative "
+            f"dweight {dweight:.2g}, max relative dgap {dgap:.2g}")
+
+
 def _run_tree(tree: Path, work: Path, problems: dict) -> tuple[dict, list]:
     """Run every command against ``tree``; map output name to its path, and
     list the commands that exited non-zero."""
@@ -147,6 +175,9 @@ def main(argv=None) -> int:
                     and _normalized(before[key]) == _normalized(after[key]))
             diffs += not same
             print(f"{'same' if same else 'DIFF'}  {key}")
+            certs = key.rsplit(".certs.", 1)[0] + ".certs.json"
+            if not same and ".certs." in key and certs in before and certs in after:
+                print(f"      {_cert_drift(before[certs], after[certs])}")
     fails = [f"{name} ({side})" for side, names in
              (("parent", failed_before), ("change", failed_after)) for name in names]
     for fail in fails:
