@@ -26,6 +26,7 @@ from .solver import (
     VARIANT_SUBGRAD_ELLIPSOID,
     VARIANT_SUBGRADIENT,
     VARIANTS,
+    History,
     HistoryRecord,
     RunResult,
     Schedule,
@@ -51,7 +52,7 @@ __all__ = [
     "load_problem", "problem_from_dict", "problem_to_dict", "save_problem",
     "VARIANTS", "VARIANT_SUBGRADIENT", "VARIANT_ELLIPSOID",
     "VARIANT_ELLIPSOID_CERT", "VARIANT_SUBGRAD_ELLIPSOID",
-    "HistoryRecord", "RunResult", "Schedule", "SolverState", "StrategyConfig",
+    "History", "HistoryRecord", "RunResult", "Schedule", "SolverState", "StrategyConfig",
     "avg_radius", "delta_from_target", "gamma_opt", "q_and_zeta",
     "run", "sliding_gap", "step",
     "HalfspaceCut", "dual_multipliers", "support_value_xi",

@@ -17,18 +17,20 @@ backward through the recorded rank-one updates in O(n) per record and
 column.  A column starts from ``H_k s`` at its checkpoint, which the records
 give without any operator on the preliminary and terminal pathways
 (``Checkpoint.at``); only the min-width direction needs ``H_k``.
+
+Every reader here takes the records as a run's ``History`` and reads its
+stacked arrays (``_history``); a plain list of records is stacked once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linalg import spd_inverse, top_eigenpair
-from .solver import HistoryRecord, SolverState, avg_radius
+from .solver import History, HistoryRecord, SolverState, avg_radius
 # ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
 # tracer looks it up in this module
 from .support import _cut_pair, _direction_pair, dual_multipliers  # noqa: F401
@@ -59,19 +61,17 @@ class Semicertificate:
     def from_weights(cls, weights: np.ndarray,
                      records: Sequence[HistoryRecord]) -> "Semicertificate":
         weights = np.asarray(weights, dtype=float)
-        if len(weights) != len(records):
+        history = _history(records)
+        if len(weights) != len(history):
             raise ValueError(
-                f"{len(weights)} weights for {len(records)} recorded steps"
+                f"{len(weights)} weights for {len(history)} recorded steps"
             )
         if np.any(weights < 0.0):
             raise ValueError("certificate weights must be nonnegative")
-        G = np.array([r.g for r in records])
-        gnorms = np.sqrt(np.einsum("ij,ij->i", G, G))
-        prod = np.array([r.productive for r in records])
         return cls(
             weights=weights,
-            gamma_weighted=float(weights @ gnorms),
-            productive_weight=float(weights[prod].sum()),
+            gamma_weighted=float(weights @ history.array("gnorm")),
+            productive_weight=float(weights[history.array("productive")].sum()),
         )
 
     @property
@@ -79,13 +79,20 @@ class Semicertificate:
         return self.productive_weight > 0.0
 
 
+def _history(records: Sequence[HistoryRecord]) -> History:
+    """``records`` as a ``History``, whose ``array`` every reader here uses:
+    a ``History`` as it is, and a plain list of records stacked once."""
+    return records if isinstance(records, History) else History.of(records)
+
+
 def _ball_max(weights: np.ndarray, records: Sequence[HistoryRecord],
               x0: np.ndarray, R: float) -> float:
     """max over x in B(x0, R) of sum(lambda_i <g_i, x_i - x>), in closed form:
     with w = sum(lambda_i g_i), it is sum(lambda_i <g_i, x_i>) - <w, x0> + R|w|."""
-    G = np.array([r.g for r in records])
+    history = _history(records)
+    G = history.array("g")
     w = weights @ G
-    val = float(weights @ np.einsum("ij,ij->i", G, np.array([r.x for r in records])))
+    val = float(weights @ np.einsum("ij,ij->i", G, history.array("x")))
     return val - float(w @ x0) + R * float(np.linalg.norm(w))
 
 
@@ -124,17 +131,17 @@ def _step_back(v: np.ndarray, rec: HistoryRecord, s: np.ndarray) -> None:
         v += (beta * float(rec.Hg @ s)) * rec.Hg
 
 
-def _column(records: Sequence[HistoryRecord], k: int, s: np.ndarray,
+def _column(history: History, k: int, s: np.ndarray,
             hs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """The sweep column ``(k, s, H_{k-1} s)`` from ``hs = H_k s``, which is
     stepped back in place."""
     if k > 0:
-        _step_back(hs, records[k - 1], s)
+        _step_back(hs, history[k - 1], s)
     return k, s, hs
 
 
-def _sweep(records: Sequence[HistoryRecord], columns) -> tuple[np.ndarray, np.ndarray]:
-    """One backward pass over ``records`` for every column ``(k, s, H_{k-1} s)``.
+def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
+    """One backward pass over ``history`` for every column ``(k, s, H_{k-1} s)``.
 
     The live columns are the rows of two blocks, ``S`` and ``V = H_i S``;
     column j joins at record ``k_j - 1``.  Per record, the cut-only half of
@@ -149,7 +156,7 @@ def _sweep(records: Sequence[HistoryRecord], columns) -> tuple[np.ndarray, np.nd
     later multiplier of it is 0.  Returns ``(mus, S_0)`` with one row per
     column, in the order given; ``mus[j, i]`` is 0 for ``i >= k_j``.
     """
-    K = len(records)
+    K = len(history)
     if any(not 0 <= k <= K for k, _, _ in columns):
         raise ValueError(f"a column starts outside the {K} records")
     # latest checkpoint first, so the live columns are a leading block
@@ -159,22 +166,25 @@ def _sweep(records: Sequence[HistoryRecord], columns) -> tuple[np.ndarray, np.nd
     V = np.array([columns[j][2] for j in order], dtype=float)
     mags = np.sqrt((S * S).sum(axis=1))
     mus = np.zeros((len(columns), K))
+    X, G, HG, Z, C = (history.array(name) for name in ("x", "g", "Hg", "z", "c"))
+    B, Ds, sigmas, gnorms = (history.array(name).tolist()
+                             for name in ("b", "D", "sigma", "gnorm"))
     live = 0
     for i in range(K - 1, -1, -1):
-        rec = records[i]
-        g, hg, D = rec.g, rec.Hg, rec.D
+        g, hg, b, D = G[i], HG[i], B[i], Ds[i]
         gHg = float(g.dot(hg))
-        if live and rec.b != 0.0:  # H_{i+1} S -> H_i S
+        if live and b != 0.0:  # H_{i+1} S -> H_i S
             Vt = V[:live]
-            Vt += (rec.b / (1.0 + rec.b * gHg) * S[:live].dot(hg))[:, None] * hg
+            Vt += (b / (1.0 + b * gHg) * S[:live].dot(hg))[:, None] * hg
         while live < len(joins) and joins[live] > i:
             live += 1
         if not live:
             continue
         St, Vt = S[:live], V[:live]
-        c, zx = rec.c, rec.z - rec.x
+        c, z = C[i], Z[i]
+        zx = z - X[i]
         pair = _cut_pair(D * float(c.dot(zx)), D * gHg, D * float(c.dot(hg)),
-                         rec.sigma - float(c.dot(rec.z)), -float(g.dot(zx)))
+                         sigmas[i] - float(c.dot(z)), -float(g.dot(zx)))
         mu = [_direction_pair(D * sv, D * vc, D * vg, pair)[1] for sv, vc, vg in zip(
             (St * Vt).sum(axis=1).tolist(), Vt.dot(c).tolist(), Vt.dot(g).tolist())]
         if not any(mu):
@@ -183,7 +193,7 @@ def _sweep(records: Sequence[HistoryRecord], columns) -> tuple[np.ndarray, np.nd
         mus[:live, i] = mu
         St -= mu[:, None] * g
         Vt -= mu[:, None] * hg
-        mags[:live] += mu * math.sqrt(float(g.dot(g)))
+        mags[:live] += mu * gnorms[i]
         cancelled = (St * St).sum(axis=1) <= (CANCELLED * mags[:live]) ** 2
         if cancelled.any():
             St[cancelled] = 0.0
@@ -217,16 +227,18 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     records, which joins the sweep at record ``k - 1``.  Returns
     ``(mus, S_0)`` with one row per column.
     """
+    history = _history(records)
     if columns is not None:
-        return _sweep(records, columns)
+        return _sweep(history, columns)
     s = np.asarray(s_final, dtype=float)
-    if not records:
+    K = len(history)
+    if not K:
         return np.zeros(0), s.copy()
     if final_operator is None:
-        column = (len(records), s, records[-1].H @ s)
+        column = (K, s, records[-1].H @ s)
     else:
-        column = _column(records, len(records), s, final_operator @ s)
-    mus, S = _sweep(records, [column])
+        column = _column(history, K, s, final_operator @ s)
+    mus, S = _sweep(history, [column])
     return mus[0], S[0]
 
 
@@ -255,29 +267,31 @@ class Checkpoint:
           ``H_{k-1} s = -records[k-1].Hg``;
         * min-width: ``+-d`` for the min-width direction d of ``operator``.
         """
-        if not 1 <= k <= len(records):
-            raise ValueError(f"cannot certify {k} of {len(records)} records")
+        history = _history(records)
+        if not 1 <= k <= len(history):
+            raise ValueError(f"cannot certify {k} of {len(history)} records")
         if pathway == TERMINAL:
-            last = records[k - 1]
-            return cls(k, pathway, (_column(records, k - 1, -last.g, -last.Hg),))
+            last = history[k - 1]
+            return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
         if pathway == MIN_WIDTH:
             _, d = top_eigenpair(spd_inverse(operator))
-            return cls(k, pathway, (_column(records, k, d, operator @ d),
-                                    _column(records, k, -d, operator @ -d)), d)
+            return cls(k, pathway, (_column(history, k, d, operator @ d),
+                                    _column(history, k, -d, operator @ -d)), d)
         if pathway != PRELIMINARY:
             raise ValueError(f"unknown certificate pathway {pathway!r}")
-        if not any(rec.a > 0.0 for rec in records[:k]):
+        if not np.any(history.array("a")[:k] > 0.0):
             raise ValueError(
                 "no preliminary weights accumulated; use the min-width certificate"
             )
-        if k < len(records):
-            rec = records[k]
-            return cls(k, pathway, (_column(records, k, -rec.c, rec.x - rec.z),))
-        last = records[k - 1]
+        if k < len(history):
+            rec = history[k]
+            return cls(k, pathway, (_column(history, k, -rec.c, rec.x - rec.z),))
+        last = history[k - 1]
         s = -(last.c + last.a * last.g)  # c_k, as the step that made it sums it
         if operator is None:
-            return cls(k, pathway, ((k, s, last.H @ s),))
-        return cls(k, pathway, (_column(records, k, s, operator @ s),))
+            # the record as given, since only a run's record replays H
+            return cls(k, pathway, ((k, s, records[k - 1].H @ s),))
+        return cls(k, pathway, (_column(history, k, s, operator @ s),))
 
 
 def certify_checkpoints(records: Sequence[HistoryRecord],
@@ -289,19 +303,20 @@ def certify_checkpoints(records: Sequence[HistoryRecord],
     the multipliers with unit weight on the terminal step (terminal), or
     the sum of the two directions' multipliers (min-width).
     """
+    history = _history(records)
     columns = [col for cp in checkpoints for col in cp.columns]
     top = max(k for k, _, _ in columns)
-    mus, _ = augment(records[:top], columns=columns)
+    mus, _ = augment(history[:top], columns=columns)
     out, row = [], 0
     for cp in checkpoints:
-        mu, head = mus[row:row + len(cp.columns), :cp.k], records[:cp.k]
+        mu, head = mus[row:row + len(cp.columns), :cp.k], history[:cp.k]
         row += len(cp.columns)
         if cp.pathway == TERMINAL:
             weights = np.append(mu[0, :cp.k - 1], 1.0)
         elif cp.pathway == MIN_WIDTH:
             weights = mu[0] + mu[1]
         else:
-            weights = np.array([rec.a for rec in head]) + mu[0]
+            weights = head.array("a") + mu[0]
         out.append(Semicertificate.from_weights(weights, head))
     return out
 

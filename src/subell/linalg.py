@@ -22,7 +22,9 @@ class PositiveDefinitenessLost(ArithmeticError):
 
 
 def symmetrize(H: np.ndarray) -> np.ndarray:
-    """Return ``(H + H.T) / 2``; used after every update to kill drift."""
+    """Return ``(H + H.T) / 2``.  In the package only ``spd_inverse`` uses
+    it, on its input and on the inverse it forms; the solver's rank-one
+    updates keep ``H`` exactly symmetric and call it nowhere."""
     return 0.5 * (H + H.T)
 
 

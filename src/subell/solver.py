@@ -22,19 +22,24 @@ subgradient-ellipsoid method (``theta = 2^(1/3) - 1``).
 Everything per iteration costs O(n^2): two matrix-vector products plus a
 rank-one update.  The per-step history recorded here is exactly what the
 certificate backward pass (module ``certificates``) needs; it holds O(n)
-numbers per step and no operator.  Step 4 is stated once, in
-``_advance``: ``step`` applies it to the record it has just made and
+numbers per step and no operator.  A run keeps it stacked, as a
+``History``: four n-wide rows and seven scalars per step, in blocks that
+are stacked once when full.  Step 4 is stated once, in ``_advance``:
+``step`` applies it to the record it has just made and
 ``reconstruct_state`` to the recorded steps, and ``HistoryRecord.H``
-replays its rank-one part (``_rank_one_update``), so a replayed state or
-operator equals the run's own bit for bit.
+replays its rank-one part (``_rank_one_update``) over the run's
+``History``, so a replayed state or operator equals the run's own bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -180,21 +185,19 @@ class SolverState:
     log_det_H: float = 0.0
 
 
-# ``HistoryRecord._prev`` of the first record of a run
-_RUN_START = object()
-
-
 @dataclass(slots=True)
 class HistoryRecord:
     """Snapshot taken at the start of an iteration, before the update.
 
     Keeps the matrix-vector product ``Hg`` instead of the operator: with it
     the backward certificate pass carries ``H_i s`` from step to step in
-    O(n), and ``_advance`` replays the update.  Records are plain mutable
-    dataclasses, built once per step; after ``step`` builds one, only
-    ``run`` writes to it, to link it to the run's previous record.  With
-    that link ``H`` replays the operator in force when the step was taken;
-    the links run one way only, so a dropped history is freed at once.
+    O(n), and ``_advance`` replays the update.  ``gnorm`` is ``|g|``, as
+    ``step`` formed it.  ``step`` makes one plain mutable record per step;
+    ``run`` stacks its fields into the run's ``History``, and indexing that
+    history makes a record again, of row views and Python scalars, which
+    remembers where it was read.  ``H`` replays the operator in force when
+    the step was taken from those rows; a record points to its history, and
+    a history to no record, so a dropped history is freed at once.
     """
 
     x: np.ndarray
@@ -208,40 +211,200 @@ class HistoryRecord:
     sigma: float
     U: float
     productive: bool
-    # the run's previous record (``_RUN_START`` for its first), set by
-    # ``run``; None for a record made by a bare ``step``
-    _prev: object = field(default=None, repr=False, compare=False)
+    gnorm: float
+    # the rows of the run this record was read from, and its index there;
+    # None for a record made by a bare ``step``
+    _rows: object = field(default=None, repr=False, compare=False)
+    _k: int = field(default=0, repr=False, compare=False)
 
     @property
     def H(self) -> np.ndarray:
         """The operator ``H_k`` this step was taken with, replayed from
-        ``H_0 = I`` through the run's earlier records in O(k n^2) and not
-        cached.  Only the records of a ``run`` have it."""
-        if self._prev is None:
+        ``H_0 = I`` through the run's earlier steps in O(k n^2) and not
+        cached.  Only the records read from a run's history have it."""
+        if self._rows is None:
             raise ValueError("only a record made by run can replay its operator")
-        earlier = []
-        rec = self._prev
-        while rec is not _RUN_START:
-            earlier.append(rec)
-            rec = rec._prev
-        H = np.eye(self.x.shape[0])
-        for rec in reversed(earlier):
-            H = _rank_one_update(H, rec.Hg, rec.b, 1.0 + rec.b * float(rec.g @ rec.Hg))
+        return self._rows.operator(self._k)
+
+
+# steps per block of a run's history: few enough that a block's records are
+# still in cache when it is stacked
+BLOCK_ROWS = 64
+_VECTORS = ("x", "g", "Hg", "z")
+_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm")
+
+
+class _Rows:
+    """The rows of one ``History`` and of every view of it.
+
+    The records of the block being filled are kept as they are; when
+    ``BLOCK_ROWS`` of them have arrived, or the run stops, each field of
+    theirs is stacked into one array, so growing never copies a stacked
+    row.  A field is stacked by joining the bytes of the records' own
+    vectors, which costs far less per step than numpy's generic stacking;
+    ``step`` makes every vector of a record a contiguous float64 array.
+    Reading merges the stacked blocks into one array per field, once.  A
+    run's ``c`` is not stored but derived on first read.
+    """
+
+    __slots__ = ("n", "from_run", "vectors", "blocks", "open", "count")
+
+    def __init__(self, n: int, from_run: bool):
+        self.n = n
+        self.from_run = from_run
+        self.vectors = _VECTORS if from_run else _VECTORS + ("c",)
+        self.blocks: list[dict] = []
+        self.open: list[HistoryRecord] = []
+        self.count = 0
+
+    def append(self, record: HistoryRecord) -> None:
+        self.open.append(record)
+        self.count += 1
+        if len(self.open) == BLOCK_ROWS:
+            self.close()
+
+    def close(self) -> None:
+        """Stack the records of the open block; a history without steps
+        gets one empty block."""
+        if self.open or not self.blocks:
+            records, k = self.open, len(self.open)
+            block = {name: np.frombuffer(b"".join(map(attrgetter(name), records)),
+                                         dtype=float).reshape(k, self.n)
+                     for name in self.vectors}
+            for name in _SCALARS:
+                block[name] = np.fromiter(map(attrgetter(name), records), count=k,
+                                          dtype=bool if name == "productive" else float)
+            self.blocks.append(block)
+            self.open = []
+
+    def array(self, name: str) -> np.ndarray:
+        """One field over every row, as one array."""
+        self.close()
+        if len(self.blocks) != 1:
+            # field by field, so that only one field is ever held twice
+            merged = {}
+            for key in self.vectors + _SCALARS:
+                merged[key] = np.concatenate([block.pop(key) for block in self.blocks])
+            self.blocks = [merged]
+        arrays = self.blocks[0]
+        if name == "c" and "c" not in arrays:
+            arrays["c"] = _prefix_sums(arrays["a"], arrays["g"])
+        return arrays[name]
+
+    def records(self, lo: int, hi: int) -> Iterator[HistoryRecord]:
+        """The records of rows ``lo`` to ``hi``: row views and Python
+        scalars, and, for a run, the link ``H`` replays through."""
+        owner = self if self.from_run else None
+        vectors = [self.array(name)[lo:hi] for name in ("x", "g", "Hg", "z", "c")]
+        scalars = [self.array(name)[lo:hi].tolist() for name in _SCALARS]
+        for k, (x, g, hg, z, c, a, b, D, sigma, U, productive, gnorm) in enumerate(
+                zip(*vectors, *scalars), lo):
+            yield HistoryRecord(x, g, a, b, hg, z, D, c, sigma, U, productive, gnorm,
+                                owner, k)
+
+    def operator(self, k: int) -> np.ndarray:
+        """``H_k``, replayed from ``H_0 = I`` through the first k rows."""
+        H = np.eye(self.n)
+        for g, hg, b in zip(self.array("g")[:k], self.array("Hg")[:k],
+                            self.array("b")[:k].tolist()):
+            H = _rank_one_update(H, hg, b, 1.0 + b * float(g @ hg))
         return H
+
+
+def _prefix_sums(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row k is ``c_k = sum_{i<k} a_i g_i``, summed in the order ``_advance``
+    sums it and from a zero row, so it equals the run's own ``c`` bit for
+    bit (a leading ``-0.0`` included)."""
+    c = np.empty_like(g)
+    if len(c):
+        c[0] = 0.0
+        np.multiply(a[:-1, None], g[:-1], out=c[1:])
+        np.cumsum(c, axis=0, out=c)
+    return c
+
+
+class History:
+    """The recorded steps of one run, stacked.
+
+    ``x``, ``g``, ``Hg`` and ``z`` are n-wide rows, and ``a``, ``b``, ``D``,
+    ``sigma``, ``U``, ``productive`` and ``gnorm`` one scalar per step:
+    O(n) numbers per step.  While a run grows it, they are stacked in
+    blocks of ``BLOCK_ROWS`` steps; the first read merges the blocks.  ``c``
+    is not stored; it is the running sum of the rows ``a_i g_i``, derived
+    once on first read.  ``array(name)`` is one field over the steps as one
+    array.  ``history[k]`` is the ``HistoryRecord`` of step k, with row
+    views and Python scalars, and ``history[i:j]`` a ``History`` view of the
+    same rows.  ``History.of`` stacks a plain list of records, keeping the
+    ``c`` each one holds.
+    """
+
+    __slots__ = ("_rows", "_lo", "_hi")
+
+    def __init__(self, n: int):
+        self._rows = _Rows(n, from_run=True)
+        self._lo, self._hi = 0, None
+
+    @classmethod
+    def of(cls, records: Sequence[HistoryRecord]) -> "History":
+        n = len(records[0].x) if len(records) else 0
+        rows = _Rows(n, from_run=False)
+        for rec in records:
+            rows.append(rec)
+        return cls._view(rows, 0, rows.count)
+
+    @classmethod
+    def _view(cls, rows: _Rows, lo: int, hi: int) -> "History":
+        view = cls.__new__(cls)
+        view._rows, view._lo, view._hi = rows, lo, hi
+        return view
+
+    def append(self, record: HistoryRecord) -> None:
+        """Record one more step of the run."""
+        self._rows.append(record)
+
+    def close(self) -> None:
+        """Stack the steps still held as records; a run closes its history
+        when it stops, so that a kept history holds only stacked rows."""
+        self._rows.close()
+
+    def __len__(self) -> int:
+        return (self._rows.count if self._hi is None else self._hi) - self._lo
+
+    def array(self, name: str) -> np.ndarray:
+        """Field ``name`` of every step, one row (or entry) per step."""
+        return self._rows.array(name)[self._lo:self._lo + len(self)]
+
+    def __getitem__(self, index):
+        size = len(self)
+        if isinstance(index, slice):
+            start, stop, stride = index.indices(size)
+            if stride != 1:
+                raise ValueError("a history slices with step 1 only")
+            return History._view(self._rows, self._lo + start,
+                                 self._lo + max(start, stop))
+        k = operator.index(index)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError(f"step {index} outside a history of {size}")
+        return next(self._rows.records(self._lo + k, self._lo + k + 1))
+
+    def __iter__(self) -> Iterator[HistoryRecord]:
+        return self._rows.records(self._lo, self._lo + len(self))
 
 
 def initial_state(problem: Problem) -> SolverState:
     n = problem.dim
     return SolverState(
         k=0,
-        x=problem.x0.copy(),
+        x=np.array(problem.x0, dtype=float),
         H=np.eye(n),
         Rsq=problem.R ** 2,
         c=np.zeros(n),
         sigma=0.0,
         Gamma=0.0,
         R0=problem.R,
-        x0=problem.x0.copy(),
+        x0=np.array(problem.x0, dtype=float),
     )
 
 
@@ -307,18 +470,15 @@ def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
 
 
 def _advance(state: SolverState, rec: HistoryRecord,
-             gnorm: Optional[float] = None, t: Optional[float] = None) -> SolverState:
+             t: Optional[float] = None) -> SolverState:
     """The state after the nonterminal step ``rec`` taken at ``state``.
 
     Shifts the point along ``H g``, applies the rank-one update to ``H`` and
     rolls the ``(R^2, c, sigma, Gamma, log det H)`` recurrences forward,
-    all from the recorded ``(g, a, b, Hg, U)``; ``gnorm`` is ``|g|`` and
-    ``t`` is ``g.Hg`` when the caller already has them.  The only statement
-    of the update.
+    all from the recorded ``(g, a, b, Hg, U, |g|)``; ``t`` is ``g.Hg`` when
+    the caller already has it.  The only statement of the update.
     """
     g, hg, a, b = rec.g, rec.Hg, rec.a, rec.b
-    if gnorm is None:
-        gnorm = math.sqrt(float(g @ g))
     if t is None:
         t = float(g @ hg)
     denom = 1.0 + b * t
@@ -330,7 +490,7 @@ def _advance(state: SolverState, rec: HistoryRecord,
         state.Rsq + shift ** 2 * t / denom,
         state.c + a * g,
         state.sigma + a * float(g @ state.x),
-        state.Gamma + a * gnorm,
+        state.Gamma + a * rec.gnorm,
         state.R0,
         state.x0,
         state.log_det_H - math.log1p(b * t),
@@ -347,12 +507,13 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     is formed once: ``g.Hg`` and ``|g|`` here, ``<c, Hc>`` and ``<c, z>`` in
     the localizer.  ``localizer`` is ``_localizer(state)`` when the caller
     already has it.  Returns ``(new_state, record, terminal)``; the record
-    is a fresh mutable dataclass and ``state`` is left untouched.  On a
+    is a fresh mutable dataclass that shares the state's ``x`` and ``c``
+    arrays, which nothing writes to, and ``state`` is left untouched.  On a
     terminal iteration (U_k <= delta |g_k|, which a zero oracle vector
     always meets) the weights are zero and the state is returned unchanged;
     otherwise the new state is ``_advance(state, record)``.
     """
-    g = response.g.copy()
+    g = response.g.astype(float)
     z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
     hg = state.H @ g
     t = float(g @ hg)
@@ -369,13 +530,13 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
              + 0.5 * config.theta * config.gamma * math.sqrt(state.Rsq)) / math.sqrt(t)
         b = config.gamma / t
 
-    # hg is a fresh product that nothing below writes to, so the record can
-    # hold it without a copy
-    record = HistoryRecord(state.x.copy(), g, a, b, hg, z, D, state.c.copy(),
-                           state.sigma, U, response.productive)
+    # nothing writes to a state's arrays or to hg once made, so the record
+    # can share them
+    record = HistoryRecord(state.x, g, a, b, hg, z, D, state.c,
+                           state.sigma, U, response.productive, gnorm)
     if terminal:
         return state, record, True
-    return _advance(state, record, gnorm, t), record, False
+    return _advance(state, record, t), record, False
 
 
 def sliding_gap(state: SolverState, *, localizer=None) -> float:
@@ -386,7 +547,9 @@ def sliding_gap(state: SolverState, *, localizer=None) -> float:
     if state.Gamma <= 0.0:
         raise ValueError("sliding gap undefined: no accumulated step weights")
     _, D, cHc, cz = localizer if localizer is not None else _localizer(state)
-    cn = nonneg_sqrt(cHc, max(1.0, float(state.c @ state.c)))
+    # the guard's scale matters only when round-off made <c, Hc> negative
+    cn = math.sqrt(cHc) if cHc >= 0.0 else nonneg_sqrt(
+        cHc, max(1.0, float(state.c @ state.c)))
     return (state.sigma - cz + math.sqrt(D) * cn) / state.Gamma
 
 
@@ -418,7 +581,7 @@ class TraceRow:
 @dataclass
 class RunResult:
     rows: list[TraceRow]
-    records: list[HistoryRecord]
+    records: History
     state: SolverState
     termination: str
 
@@ -437,27 +600,23 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     weight semantics).  The localizer is formed once per iteration and
     shared by the step and the trace row.
 
-    The history holds O(n) numbers per step and no operator; each record
-    points to the run's previous record, so ``record.H`` replays its
-    operator on demand.  ``keep_operators`` is accepted for older callers
-    and ignored.
+    The history holds O(n) numbers per step and no operator: ``run`` appends
+    the fields of each record ``step`` makes to a ``History``, and
+    ``record.H`` of a record read from it replays its operator on demand.
+    ``keep_operators`` is accepted for older callers and ignored.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     state = initial_state(problem)
     rows: list[TraceRow] = []
-    records: list[HistoryRecord] = []
+    records = History(problem.dim)
     termination = "max-iter"
-    prev = _RUN_START
     for _ in range(max_iter):
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
         localizer = _localizer(state)
         new_state, record, terminal = step(state, resp, config, localizer=localizer)
-        # the link lets ``record.H`` find its predecessors
-        record._prev = prev
         records.append(record)
-        prev = record
         if collect_trace:
             rows.append(_trace_row(problem, config, state, resp, localizer,
                                    time.perf_counter() - t_start))
@@ -465,6 +624,7 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
             termination = "gap-threshold" if np.any(resp.g) else "zero-subgradient"
             break
         state = new_state
+    records.close()
     return RunResult(rows=rows, records=records, state=state, termination=termination)
 
 

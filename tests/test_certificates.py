@@ -11,6 +11,7 @@ from subell.linalg import dual_norm, spd_inverse, symmetrize, top_eigenpair
 from subell.cli import main
 from subell.oracles import load_problem, problem_from_dict, save_problem
 from subell.solver import (
+    BLOCK_ROWS,
     VARIANTS,
     Schedule,
     StrategyConfig,
@@ -376,6 +377,41 @@ class TestSemicertificateValidation:
         _, res = _run(prob, iters=3)
         with pytest.raises(ValueError, match="weights"):
             certs.Semicertificate.from_weights(np.ones(2), res.records)
+
+
+class TestHistoryOrList:
+    """Every reader here takes a run's ``History`` or a plain list of
+    records through one conversion, with bit-identical results."""
+
+    @staticmethod
+    def _same(got, want):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("variant", ["subgrad-ellipsoid", "ellipsoid-cert"])
+    def test_history_and_list_give_identical_results(self, variant):
+        prob = max_affine_ball(np.random.default_rng(21), 4)
+        _, res = _run(prob, variant, iters=2 * BLOCK_ROWS + 12)  # three blocks
+        listed = list(res.records)
+        s = -res.state.c
+        for form in ({}, {"final_operator": res.state.H}):
+            for got, want in zip(certs.augment(listed, s, **form),
+                                 certs.augment(res.records, s, **form)):
+                self._same(got, want)
+        for k in (1, BLOCK_ROWS - 1, len(listed)):
+            want = certs.certify_from_preliminary(res.records[:k])
+            got = certs.certify_from_preliminary(listed[:k])
+            self._same(got.weights, want.weights)
+            assert (got.gamma_weighted, got.productive_weight) \
+                == (want.gamma_weighted, want.productive_weight)
+            for measure in (certs.gap, certs.residual):
+                self._same(measure(got, listed[:k], prob.x0, prob.R),
+                           measure(want, res.records[:k], prob.x0, prob.R))
+
+    def test_empty_list(self):
+        cert = certs.Semicertificate.from_weights(np.zeros(0), [])
+        assert (cert.gamma_weighted, cert.productive_weight) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            certs.certify_from_preliminary([])
 
 
 class TestScaleFreeTwoCutRegressions:

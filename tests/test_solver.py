@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -10,7 +11,9 @@ from subell import certificates as certs
 from subell.linalg import dual_norm, nonneg_sqrt
 from subell.oracles import Ball, OracleResponse, problem_from_dict
 from subell.solver import (
+    BLOCK_ROWS,
     VARIANTS,
+    History,
     HistoryRecord,
     Schedule,
     SolverState,
@@ -559,9 +562,11 @@ class TestLeanHistory:
     loop (with or without the ignored ``keep_operators``), and
     ``reconstruct_state`` at every k, from scratch and chained through
     ``start=``, equals field by field the state that loop passed through;
-    ``rec.H`` is that state's operator.  A trace row's objective value is
+    ``rec.H`` is that state's operator, and the derived ``rec.c`` is that
+    state's ``c`` bit for bit.  A trace row's objective value is
     ``f_value`` at the recorded point exactly, whether the oracle or
-    ``f_value`` formed it."""
+    ``f_value`` formed it.  The stacked history holds little more than its
+    rows, and only the blocks a run fills."""
 
     @staticmethod
     def _assert_same_state(got, want):
@@ -589,10 +594,7 @@ class TestLeanHistory:
         K = len(lean.records)
         assert len(lean.rows) == K == len(stepped) == len(kept.records)
         for a, b in zip(stepped, lean.records):
-            for field in fields(HistoryRecord):
-                if field.compare:
-                    assert np.array_equal(getattr(b, field.name),
-                                          getattr(a, field.name)), field.name
+            cls._assert_same_record(b, a)
         cls._assert_same_state(lean.state, states[-1])
 
         chained = None
@@ -605,9 +607,43 @@ class TestLeanHistory:
             cls._assert_same_state(chained, want)
         for k in sorted({0, K // 2, K - 1}):
             assert np.array_equal(lean.records[k].H, states[k].H)
+        for k, rec in enumerate(lean.records):
+            assert rec.c.tobytes() == states[min(k, len(states) - 1)].c.tobytes()
         for row, rec in zip(lean.rows, lean.records):
             assert row.f_value == prob.f_value(rec.x)
+        cls._assert_history_reads_like_a_list(lean.records)
         return lean
+
+    @staticmethod
+    def _assert_same_record(got, want):
+        for field in fields(HistoryRecord):
+            if field.compare:
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name)), field.name
+
+    @classmethod
+    def _assert_history_reads_like_a_list(cls, history):
+        """Indexing, slicing and iterating a ``History`` behave as on
+        ``list(history)``, and scalar fields come back as Python scalars,
+        so the bytes written from them cannot depend on the storage."""
+        listed = list(history)
+        K = len(history)
+        assert isinstance(history, History) and len(listed) == K
+        for k in (0, K // 2, K - 1, -1, -K):
+            cls._assert_same_record(history[k], listed[k])
+        for bad in (K, -K - 1):
+            with pytest.raises(IndexError):
+                history[bad]
+        for a, b in ((0, K), (1, K // 2), (K // 2, K), (-3, None), (None, -2), (5, 2)):
+            view = history[a:b]
+            assert isinstance(view, History)
+            assert len(view) == len(listed[a:b])
+            for got, want in zip(view, listed[a:b]):
+                cls._assert_same_record(got, want)
+        for rec in listed:
+            for name in ("a", "b", "D", "sigma", "U", "gnorm"):
+                assert type(getattr(rec, name)) is float, name
+            assert type(rec.productive) is bool
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -656,9 +692,54 @@ class TestLeanHistory:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
-        # 2000 records hold five n-vectors each, about 2.4 MB
+        # 2000 steps hold four stacked n-vectors and seven scalars each,
+        # and a trace row: about 2.6 MB
         assert held > 2_000_000
         assert left < 0.01 * held
+
+    @staticmethod
+    def _held_by_run(prob, config, max_iter, collect_trace):
+        """``(result, bytes it holds, peak bytes while it ran)``."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run(prob, config, max_iter, collect_trace=collect_trace)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return res, held - before, peak - before
+
+    def test_history_holds_its_stacked_rows_per_step(self):
+        n, K = 30, 2000
+        prob = max_affine_ball(np.random.default_rng(51), n)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", n,
+                                            schedule=Schedule("decay"))
+        res, held, _ = self._held_by_run(prob, config, K, collect_trace=True)
+        assert len(res.records) == len(res.rows) == K
+        row = res.rows[-1]
+        trace_row = sys.getsizeof(row) + sum(
+            sys.getsizeof(getattr(row, f.name)) for f in fields(TraceRow)
+            if type(getattr(row, f.name)) in (int, float))
+        # x, g, Hg and z, and a, b, D, sigma, U, productive and |g|
+        payload = 4 * n * 8 + 7 * 8
+        assert held / K <= 1.25 * (payload + trace_row)
+
+    def test_run_allocates_only_the_blocks_it_fills(self):
+        n = 30
+        prob = max_affine_ball(np.random.default_rng(52), n)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", n,
+                                            schedule=Schedule("decay"),
+                                            delta_term=0.2 * prob.R)
+        res, held, peak = self._held_by_run(prob, config, 10**9, collect_trace=False)
+        assert res.termination == "gap-threshold"
+        K = len(res.records)
+        assert K > 4 * BLOCK_ROWS
+        payload = 4 * n * 8 + 7 * 8
+        assert held <= 1.25 * K * payload
+        # only the open block holds its steps' records as they are; keeping
+        # every record would take about twice the payload
+        assert peak <= 2 * K * payload
 
 
 # The forward iteration as first written: every product formed where it is
