@@ -14,9 +14,10 @@ column per certificate, and a column joins when the sweep reaches its
 checkpoint; the part of the two-cut kernel that reads only the cuts runs
 once per record.  The sweep never forms an operator: it carries ``H_i s``
 backward through the recorded rank-one updates in O(n) per record and
-column.  A column starts from ``H_k s`` at its checkpoint, which the records
-give without any operator on the preliminary and terminal pathways
-(``Checkpoint.at``); only the min-width direction needs ``H_k``.
+column.  A column starts from ``H_{k-1} s`` at its checkpoint, which the
+records give without any operator on the preliminary and terminal
+pathways (``Checkpoint.at``); only the min-width direction needs ``H_k``.
+``certify_run`` certifies a run's checkpoints with their measures.
 
 Every reader here takes the records as a run's ``History`` and reads its
 stacked arrays (``_history``); a plain list of records is stacked once.
@@ -30,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import spd_inverse, top_eigenpair
+from .oracles import Problem
 from .solver import History, HistoryRecord, SolverState, avg_radius
 # ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
 # tracer looks it up in this module
@@ -122,21 +124,14 @@ def residual_bound_from_gap(delta: float, r: float, V: float) -> float:
     return delta * V / (r - delta)
 
 
-def _step_back(v: np.ndarray, rec: HistoryRecord, s: np.ndarray) -> None:
-    """Turn ``v = H_{i+1} s`` into ``H_i s`` in place, where record i made the
-    update: ``H_i = H_{i+1} + beta (Hg)(Hg)^T`` with
-    ``beta = b / (1 + b g.Hg)``."""
-    if rec.b != 0.0:
-        beta = rec.b / (1.0 + rec.b * float(rec.g @ rec.Hg))
-        v += (beta * float(rec.Hg @ s)) * rec.Hg
-
-
 def _column(history: History, k: int, s: np.ndarray,
             hs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """The sweep column ``(k, s, H_{k-1} s)`` from ``hs = H_k s``, which is
-    stepped back in place."""
-    if k > 0:
-        _step_back(hs, history[k - 1], s)
+    """The sweep column ``(k, s, H_{k-1} s)`` from ``hs = H_k s``, stepped
+    back in place through record k-1's update
+    ``H_{k-1} = H_k + beta (Hg)(Hg)^T``, ``beta = b / (1 + b g.Hg)``."""
+    if k > 0 and (rec := history[k - 1]).b != 0.0:
+        beta = rec.b / (1.0 + rec.b * float(rec.g @ rec.Hg))
+        hs += (beta * float(rec.Hg @ s)) * rec.Hg
     return k, s, hs
 
 
@@ -246,52 +241,49 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
 class Checkpoint:
     """Where one certificate starts in the sweep: the first ``k`` records,
     its pathway, the sweep columns it owns and, for the min-width pathway,
-    the direction."""
+    the direction and rho, twice the average radius after those records."""
 
     k: int
     pathway: str
     columns: tuple
     direction: Optional[np.ndarray] = None
+    rho: Optional[float] = None
 
     @classmethod
     def at(cls, records: Sequence[HistoryRecord], k: int, pathway: str,
-           operator: Optional[np.ndarray] = None) -> "Checkpoint":
-        """Start vectors of the certificate of ``records[:k]``; ``operator``
-        is ``H_k``, the operator after those records.
+           state: Optional[SolverState] = None) -> "Checkpoint":
+        """Start vectors of the certificate of ``records[:k]``.
 
-        * preliminary: ``s = -c_k``, with ``H_k s = -(z_k - x_k)`` read from
-          record k when there is one, else formed with ``operator``, else
-          ``H_{k-1} s`` from the replayed ``records[k-1].H``;
+        * preliminary: ``s = -c_k``.  Record k-1 gives ``H_{k-1} s``: with
+          ``c_k = c_{k-1} + a g`` and ``H_{k-1} c_{k-1} = z - x``, it is
+          ``-(z - x) - a Hg`` of that record;
         * terminal (``k = len(records)``, the last record terminal):
           ``s = -g_{k-1}`` over the records before it, with
           ``H_{k-1} s = -records[k-1].Hg``;
-        * min-width: ``+-d`` for the min-width direction d of ``operator``.
+        * min-width: ``+-d`` for the min-width direction d of ``state.H``,
+          ``state`` being the state after the k records; no other pathway
+          reads an operator.
         """
         history = _history(records)
         if not 1 <= k <= len(history):
             raise ValueError(f"cannot certify {k} of {len(history)} records")
+        last = history[k - 1]
         if pathway == TERMINAL:
-            last = history[k - 1]
             return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
         if pathway == MIN_WIDTH:
-            _, d = top_eigenpair(spd_inverse(operator))
-            return cls(k, pathway, (_column(history, k, d, operator @ d),
-                                    _column(history, k, -d, operator @ -d)), d)
+            H = state.H
+            _, d = top_eigenpair(spd_inverse(H))
+            return cls(k, pathway, (_column(history, k, d, H @ d),
+                                    _column(history, k, -d, H @ -d)),
+                       d, 2.0 * avg_radius(state))
         if pathway != PRELIMINARY:
             raise ValueError(f"unknown certificate pathway {pathway!r}")
         if not np.any(history.array("a")[:k] > 0.0):
             raise ValueError(
                 "no preliminary weights accumulated; use the min-width certificate"
             )
-        if k < len(history):
-            rec = history[k]
-            return cls(k, pathway, (_column(history, k, -rec.c, rec.x - rec.z),))
-        last = history[k - 1]
         s = -(last.c + last.a * last.g)  # c_k, as the step that made it sums it
-        if operator is None:
-            # the record as given, since only a run's record replays H
-            return cls(k, pathway, ((k, s, records[k - 1].H @ s),))
-        return cls(k, pathway, (_column(history, k, s, operator @ s),))
+        return cls(k, pathway, ((k, s, (last.x - last.z) - last.a * last.Hg),))
 
 
 def certify_checkpoints(records: Sequence[HistoryRecord],
@@ -321,25 +313,51 @@ def certify_checkpoints(records: Sequence[HistoryRecord],
     return out
 
 
+def _min_width_bound(rho: Optional[float], diameter: float,
+                     inner_radius: float) -> Optional[float]:
+    """The min-width gap bound 2 rho D / (r - rho); None when rho >= r, or
+    without a rho (the other pathways)."""
+    if rho is not None and rho < inner_radius:
+        return 2.0 * rho * diameter / (inner_radius - rho)
+    return None
+
+
+def certify_run(problem: Problem, records: Sequence[HistoryRecord],
+                checkpoints: Sequence[Checkpoint]) -> list[tuple]:
+    """The certificates of a run's checkpoints from one backward sweep, with
+    their measures: one ``(checkpoint, certificate, gap, residual,
+    gap_bound)`` per checkpoint, in order.  Gap and residual are over the
+    problem's initial ball, from one ``_ball_max``, and None where undefined;
+    ``gap_bound`` is the min-width bound from the checkpoint's rho."""
+    history = _history(records)
+    rows = []
+    for cp, cert in zip(checkpoints, certify_checkpoints(history, checkpoints)):
+        top = _ball_max(cert.weights, history[:cp.k], problem.x0, problem.R)
+        gap_k = top / cert.gamma_weighted if cert.gamma_weighted > 0.0 else None
+        residual_k = top / cert.productive_weight if cert.is_certificate else None
+        bound = _min_width_bound(cp.rho, problem.feasible.diameter, problem.inner_radius)
+        rows.append((cp, cert, gap_k, residual_k, bound))
+    return rows
+
+
 def certify_from_preliminary(records: Sequence[HistoryRecord],
-                             terminal: bool = False,
-                             final_operator: Optional[np.ndarray] = None,
-                             ) -> Semicertificate:
+                             terminal: bool = False) -> Semicertificate:
     """Turn the recorded step weights into a semicertificate on the initial ball.
 
     Nonterminal runs: augment against the accumulated model direction
     ``-sum(a_i g_i)`` and add the multipliers to the step weights; the gap of
-    the result never exceeds the sliding gap.  ``final_operator``, the
-    operator after the records, saves replaying the last record's.  Terminal
-    runs (gap test hit, or zero subgradient): augment the preceding steps
-    against the last subgradient and give the terminal step unit weight; the
-    gap of the result is at most the termination threshold.  The one-checkpoint
-    case of ``certify_checkpoints``.
+    the result never exceeds the sliding gap.  Terminal runs (gap test hit,
+    or zero subgradient): augment the preceding steps against the last
+    subgradient and give the terminal step unit weight; the gap of the
+    result is at most the termination threshold.  Both start from the
+    records alone, so a plain list of records from a ``step`` loop
+    certifies as a run's history does.  The one-checkpoint case of
+    ``certify_checkpoints``.
     """
     if not records:
         raise ValueError("cannot certify an empty history")
     pathway = TERMINAL if terminal else PRELIMINARY
-    start = Checkpoint.at(records, len(records), pathway, final_operator)
+    start = Checkpoint.at(records, len(records), pathway)
     return certify_checkpoints(records, [start])[0]
 
 
@@ -352,18 +370,6 @@ class MinWidthReport:
     direction: np.ndarray
     rho: float                     # twice the average radius of the final ellipsoid
     gap_bound: Optional[float]     # 2 rho D / (r - rho); None when rho >= r
-
-
-def min_width_bound(state: SolverState, diameter: float,
-                    inner_radius: float) -> tuple[float, Optional[float]]:
-    """``(rho, gap_bound)`` of the min-width certificate at ``state``: rho is
-    twice the average radius, and the bound 2 rho D / (r - rho), or None
-    when rho >= r."""
-    rho = 2.0 * avg_radius(state)
-    bound = None
-    if rho < inner_radius:
-        bound = 2.0 * rho * diameter / (inner_radius - rho)
-    return rho, bound
 
 
 def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
@@ -383,8 +389,7 @@ def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
     """
     if not records:
         raise ValueError("cannot certify an empty history")
-    start = Checkpoint.at(records, len(records), MIN_WIDTH, state.H)
+    start = Checkpoint.at(records, len(records), MIN_WIDTH, state)
     cert = certify_checkpoints(records, [start])[0]
-    rho, bound = min_width_bound(state, diameter, inner_radius)
-    return MinWidthReport(certificate=cert, direction=start.direction, rho=rho,
-                          gap_bound=bound)
+    return MinWidthReport(certificate=cert, direction=start.direction, rho=start.rho,
+                          gap_bound=_min_width_bound(start.rho, diameter, inner_radius))

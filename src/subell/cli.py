@@ -5,12 +5,14 @@ Every flag can also be supplied through an environment variable with the
 Traces are CSV with a fixed column order and 17-significant-digit decimals,
 so equal runs produce equal files; summaries are plain key: value text.
 
-The solver's history keeps no operator ``H_k``.  ``certify`` builds every
-checkpoint's certificate from one matrix-free backward sweep over the
-records.  The preliminary and terminal pathways start from the records and
-the final state alone; only the min-width pathway replays the state at each
-checkpoint, chained from the previous one (``reconstruct_state``, one n x n
-operator at a time), for the direction of its operator.
+The solver's history keeps no operator ``H_k``.  ``certify`` chooses the
+checkpoints and their pathways and hands them to
+``certificates.certify_run``, which builds every certificate, its gap,
+residual and bound from one matrix-free backward sweep over the records.
+The preliminary and terminal pathways start from the records alone; only
+the min-width pathway replays the state at each checkpoint, chained from
+the previous one (``reconstruct_state``, one n x n operator at a time), for
+the direction and average radius of its ellipsoid.
 
 Exit code 2 reports a load, validation or usage error and 3 a numerical
 failure of the solver or the certificate pass, on stderr without a traceback.
@@ -232,41 +234,27 @@ def cmd_certify(args) -> int:
     total = len(records)
     terminal = result.termination in ("gap-threshold", "zero-subgradient")
 
-    # every checkpoint's start vectors, then one backward sweep for all of
-    # them; only the min-width pathway needs a checkpoint's operator, and its
-    # states are replayed in one chain, each from the previous one
-    starts, bounds = [], []
-    state_k = None
+    # the checkpoints and their pathways; only the min-width pathway needs a
+    # checkpoint's state, replayed in one chain, each from the previous one
+    checkpoints, state_k = [], None
     for k in _checkpoints(args.cadence, total):
-        rho = bound = None
         if k == total and terminal:
-            start = certs.Checkpoint.at(records, k, certs.TERMINAL)
+            checkpoints.append(certs.Checkpoint.at(records, k, certs.TERMINAL))
         elif config.variant == VARIANT_ELLIPSOID:
             state_k = reconstruct_state(problem, records, k, result.state, start=state_k)
-            start = certs.Checkpoint.at(records, k, certs.MIN_WIDTH, state_k.H)
-            rho, bound = certs.min_width_bound(state_k, problem.feasible.diameter,
-                                               problem.inner_radius)
+            checkpoints.append(certs.Checkpoint.at(records, k, certs.MIN_WIDTH, state_k))
         else:
-            start = certs.Checkpoint.at(records, k, certs.PRELIMINARY,
-                                        result.state.H if k == total else None)
-        starts.append(start)
-        bounds.append((rho, bound))
-    certified = certs.certify_checkpoints(records, starts)
+            checkpoints.append(certs.Checkpoint.at(records, k, certs.PRELIMINARY))
 
     cert_rows = []
     cert_dump = []
-    for start, cert, (rho, bound) in zip(starts, certified, bounds):
-        k, used = start.k, records[:start.k]
-        g = certs.gap(cert, used, problem.x0, problem.R) \
-            if cert.gamma_weighted > 0 else None
-        res = certs.residual(cert, used, problem.x0, problem.R) \
-            if cert.is_certificate else None
-        cert_rows.append((k, start.pathway, cert.gamma_weighted,
-                          cert.productive_weight, g, res, rho, bound))
-        cert_dump.append({"k": k, "pathway": start.pathway, "gap": g,
+    for cp, cert, g, res, bound in certs.certify_run(problem, records, checkpoints):
+        cert_rows.append((cp.k, cp.pathway, cert.gamma_weighted,
+                          cert.productive_weight, g, res, cp.rho, bound))
+        cert_dump.append({"k": cp.k, "pathway": cp.pathway, "gap": g,
                           "residual": res, "weights": cert.weights.tolist()})
-        if k < len(result.rows) and g is not None:
-            result.rows[k].cert_gap = g
+        if cp.k < len(result.rows) and g is not None:
+            result.rows[cp.k].cert_gap = g
 
     summary = _summary(problem, args, result, extra=note)
     summary += f"certificates: {len(cert_rows)} checkpoints (cadence {args.cadence})\n"
@@ -277,7 +265,7 @@ def cmd_certify(args) -> int:
         _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, result.rows), args.seed)
         _write_csv(args.out + ".certs.csv", CERT_COLUMNS, cert_rows, args.seed)
         with open(args.out + ".certs.json", "w", encoding="utf-8") as fh:
-            json.dump({"seed": args.seed, "checkpoints": cert_dump}, fh, indent=1)
+            fh.write(json.dumps({"seed": args.seed, "checkpoints": cert_dump}, indent=1))
             fh.write("\n")
     sys.stdout.write(summary)
     return 0

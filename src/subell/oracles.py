@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -332,12 +333,16 @@ def _obj(obj, name: str) -> dict:
 
 def _array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``obj`` as a float array of ``shape``.  Only JSON numbers are taken:
-    strings, booleans and nulls are rejected, not parsed or cast."""
+    strings, booleans and nulls are rejected, not parsed or cast, and so is
+    a boolean among numbers, which numpy would cast to 1 or 0."""
     try:
         raw = np.asarray(obj)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{name} must be numeric") from exc
-    if raw.dtype.kind not in "iuf":
+        raise ProblemFormatError(f"{name} must be numeric, of shape {shape}") from exc
+    entries = obj  # the entries of nested lists, for their types
+    for _ in range(raw.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if raw.dtype.kind not in "iuf" or (raw.ndim and bool in set(map(type, entries))):
         raise ProblemFormatError(f"{name} must be numeric (JSON numbers only)")
     m = np.asarray(raw, dtype=float)
     if m.shape != shape:
@@ -385,8 +390,8 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         if not isinstance(rows, list) or not rows:
             raise ProblemFormatError("max-of-affine needs a nonempty 'rows' list")
         rows = [_obj(r, "objective row") for r in rows]
-        A = np.vstack([_vec(r["a"], dim, "row.a") for r in rows])
-        offs = np.array([_num(r["b"], "row.b") for r in rows])
+        A = _array([r["a"] for r in rows], (len(rows), dim), "row.a")
+        offs = _array([r["b"] for r in rows], (len(rows),), "row.b")
         return MaxAffine(A, offs)
     if kind == KIND_QUADRATIC:
         P = _array(d["P"], (dim, dim), "P")

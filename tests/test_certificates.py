@@ -17,9 +17,11 @@ from subell.solver import (
     StrategyConfig,
     avg_radius,
     delta_from_target,
+    initial_state,
     reconstruct_state,
     run,
     sliding_gap,
+    step,
 )
 from subell.support import HalfspaceCut, _cut_pair, _direction_pair, dual_multipliers
 
@@ -142,6 +144,21 @@ class TestCertifyFromPreliminary:
         assert cert.weights[-1] == 1.0
         d = certs.gap(cert, res.records, prob.x0, prob.R)
         assert d <= delta + 1e-9
+
+    def test_records_of_a_step_loop(self):
+        # a plain list of records from a bare ``step`` loop, which cannot
+        # replay an operator, certifies as the run that takes the same steps
+        prob = max_affine_ball(np.random.default_rng(22), 3)
+        config, res = _run(prob, iters=20)
+        state, records = initial_state(prob), []
+        for _ in range(20):
+            state, rec, _ = step(state, prob.oracle(state.x), config)
+            records.append(rec)
+        with pytest.raises(ValueError, match="replay"):
+            records[-1].H
+        cert = certs.certify_from_preliminary(records)
+        want = certs.certify_from_preliminary(res.records)
+        assert np.array_equal(cert.weights, want.weights)
 
     def test_rejects_empty_or_weightless_history(self):
         prob = max_affine_ball(np.random.default_rng(6), 2)
@@ -563,7 +580,7 @@ def _certify_at(prob, variant, records, state_k):
     if variant == "ellipsoid":
         return certs.certify_standard_ellipsoid(
             head, state_k, prob.feasible.diameter, prob.inner_radius).certificate
-    return certs.certify_from_preliminary(head, final_operator=state_k.H)
+    return certs.certify_from_preliminary(head)
 
 
 def _reference_mu(final_operator):
@@ -609,8 +626,7 @@ class TestMatrixFreeBackwardPass:
         H_last = reconstruct_state(prob, res.records, len(res.records) - 1,
                                    res.state).H
         assert np.array_equal(H_last, res.state.H)
-        cert = certs.certify_from_preliminary(res.records, terminal=True,
-                                              final_operator=H_last)
+        cert = certs.certify_from_preliminary(res.records, terminal=True)
         head, s = res.records[:-1], -res.records[-1].g
         _assert_agrees(
             cert.weights, np.append(_reference_mu(H_last)(head, s), 1.0),
@@ -750,8 +766,8 @@ class TestOneSweep:
                                                    schedule=Schedule("decay")), 80)
         records = res.records
         state_37, state_60 = _checkpoint_states(prob, res, [37, 60])
-        starts = [certs.Checkpoint.at(records, 80, certs.PRELIMINARY, res.state.H),
-                  certs.Checkpoint.at(records, 37, certs.MIN_WIDTH, state_37.H),
+        starts = [certs.Checkpoint.at(records, 80, certs.PRELIMINARY),
+                  certs.Checkpoint.at(records, 37, certs.MIN_WIDTH, state_37),
                   certs.Checkpoint.at(records, 60, certs.PRELIMINARY)]
         columns = [col for start in starts for col in start.columns]
         mus, _ = certs.augment(records, columns=columns)
@@ -770,20 +786,48 @@ class TestOneSweep:
             certs.certify_standard_ellipsoid(records[:37], state_37, 1.0, 0.5)
             .certificate.weights, certs.certify_checkpoints(records, starts[1:2])[0].weights)
         _assert_agrees(joint[0].weights,
-                       certs.certify_from_preliminary(records, final_operator=res.state.H)
-                       .weights, lambda: pytest.fail("outside the 1e-12 rules"))
+                       certs.certify_from_preliminary(records).weights,
+                       lambda: pytest.fail("outside the 1e-12 rules"))
+
+    @pytest.mark.parametrize("variant", ["subgrad-ellipsoid", "ellipsoid"])
+    def test_certify_run_rows(self, variant):
+        # each row of the entry point holds the certificate of the
+        # one-checkpoint route, with the measures ``gap`` and ``residual``
+        # give and the min-width rho and bound of ``certify_standard_ellipsoid``
+        prob = max_affine_ball(np.random.default_rng(7), 2)
+        _, res = _run(prob, variant, iters=140)
+        for state in _checkpoint_states(prob, res, [70, 140]):
+            head = res.records[:state.k]
+            if variant == "ellipsoid":
+                start = certs.Checkpoint.at(res.records, state.k, certs.MIN_WIDTH, state)
+                report = certs.certify_standard_ellipsoid(
+                    head, state, prob.feasible.diameter, prob.inner_radius)
+                want, want_bound = report.certificate, report.gap_bound
+                assert start.rho == report.rho
+            else:
+                start = certs.Checkpoint.at(res.records, state.k, certs.PRELIMINARY)
+                want, want_bound = certs.certify_from_preliminary(head), None
+            (cp, cert, gap, residual, bound), = certs.certify_run(prob, res.records, [start])
+            assert cp is start and np.array_equal(cert.weights, want.weights)
+            assert gap == certs.gap(want, head, prob.x0, prob.R)
+            assert residual == (certs.residual(want, head, prob.x0, prob.R)
+                                if want.is_certificate else None)
+            assert bound == want_bound
 
     def test_preliminary_start_needs_no_operator(self):
-        # H_k c_k = z_k - x_k: record k gives the start that H_k would
+        # H_{k-1} c_{k-1} = z - x of record k-1, so that record gives the
+        # start H_{k-1} s of s = -c_k that the operator would, at every k
+        # including the last
         rng = np.random.default_rng(4)
         prob = max_affine_ball(rng, 4)
         res = run(prob, StrategyConfig.for_variant("ellipsoid-cert", 4), 50)
-        for state in _checkpoint_states(prob, res, [1, 17, 49]):
-            (k, s, v), = certs.Checkpoint.at(res.records, state.k, certs.PRELIMINARY).columns
-            (_, s_op, v_op), = certs.Checkpoint.at(res.records[:state.k], state.k,
-                                                   certs.PRELIMINARY, state.H).columns
-            assert k == state.k and np.array_equal(s, s_op) and np.array_equal(s, -state.c)
-            assert np.abs(v - v_op).max() <= 1e-12 * np.abs(v_op).max()
+        for k in (1, 17, 49, 50):
+            before, after = (reconstruct_state(prob, res.records, j, res.state)
+                             for j in (k - 1, k))
+            (k_col, s, v), = certs.Checkpoint.at(res.records, k, certs.PRELIMINARY).columns
+            assert k_col == k and np.array_equal(s, -after.c)
+            want = before.H @ s
+            assert np.abs(v - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_terminal_run_of_one_record(self, tmp_path):
         # the first test point already meets the gap test: the terminal

@@ -301,6 +301,12 @@ MUTATIONS = [
     ("dim-string", "max", ["dim"], "2"),
     ("R-string", "max", ["R"], "2.0"),
     ("row-a-string", "max", ["objective", "rows", 0, "a", 0], "0.5"),
+    # a boolean among numbers, which numpy would cast to 1 or 0
+    ("x0-bool", "max", ["x0", 0], False),
+    ("row-a-bool", "max", ["objective", "rows", 0, "a", 1], True),
+    ("row-b-bool", "max", ["objective", "rows", 1, "b"], False),
+    ("center-bool", "max", ["set", "center", 0], True),
+    ("M-bool", "saddle", ["objective", "M", 0, 0], True),
     ("radii-nan", "saddle", ["set", "radii", 1], NAN),
     ("radii-number", "saddle", ["set", "radii"], 1.0),
     ("centers-nan", "saddle", ["set", "centers", 0, 0], NAN),
@@ -399,6 +405,9 @@ def test_traced_certify_reports_every_layer_metric(tmp_path, command):
     _assert_every_layer_metric(metrics)
     assert metrics["certificates.augment_calls"] == 1
     assert metrics["certificates.backward_steps"] == 20
+    if command[2] == "ellipsoid":
+        # the min-width state chain is a real call where the tracer hooks it
+        assert metrics["solver.reconstruct_state_us"] > 0
 
 
 # the two healthy runs whose backward direction cancels to rounding noise
@@ -451,6 +460,6 @@ def test_cancelled_direction_certifies(tmp_path, case):
         assert float(row["gap"]) <= sliding_gap(state) + 1e-9, row["k"]
     # the final checkpoint's direction cancels part-way back, and the sweep
     # zeroes it there
-    start = certs.Checkpoint.at(res.records, iters, certs.PRELIMINARY, res.state.H)
+    start = certs.Checkpoint.at(res.records, iters, certs.PRELIMINARY)
     mus, S0 = certs.augment(res.records, columns=start.columns)
     assert not np.any(S0) and not np.all(mus[0])
