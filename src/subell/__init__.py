@@ -1,11 +1,9 @@
 """subell: subgradient and ellipsoid cutting-plane methods with certificates."""
 
 from .certificates import (
-    MinWidthReport,
     Semicertificate,
     augment,
     certify_from_preliminary,
-    certify_standard_ellipsoid,
     gap,
     residual,
     residual_bound_from_gap,
@@ -45,8 +43,8 @@ from .support import HalfspaceCut, dual_multipliers, support_value_xi
 __version__ = "0.1.0"
 
 __all__ = [
-    "MinWidthReport", "Semicertificate", "augment", "certify_from_preliminary",
-    "certify_standard_ellipsoid", "gap", "residual", "residual_bound_from_gap",
+    "Semicertificate", "augment", "certify_from_preliminary",
+    "gap", "residual", "residual_bound_from_gap",
     "dual_norm", "top_eigenpair",
     "OracleResponse", "Problem", "ProblemFormatError",
     "load_problem", "problem_from_dict", "problem_to_dict", "save_problem",

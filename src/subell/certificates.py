@@ -17,10 +17,13 @@ backward through the recorded rank-one updates in O(n) per record and
 column.  A column starts from ``H_{k-1} s`` at its checkpoint, which the
 records give without any operator on the preliminary and terminal
 pathways (``Checkpoint.at``); only the min-width direction needs ``H_k``.
-``certify_run`` certifies a run's checkpoints with their measures.
+
+``certify_run`` is the one route from checkpoints to certificates, each
+with its gap, residual and min-width bound.
 
 Every reader here takes the records as a run's ``History`` and reads its
-stacked arrays (``_history``); a plain list of records is stacked once.
+stacked arrays (``_history``); a plain list of records is stacked once, as
+a run stacks it, and must start at step 0.
 """
 
 from __future__ import annotations
@@ -241,12 +244,11 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
 class Checkpoint:
     """Where one certificate starts in the sweep: the first ``k`` records,
     its pathway, the sweep columns it owns and, for the min-width pathway,
-    the direction and rho, twice the average radius after those records."""
+    rho, twice the average radius after those records."""
 
     k: int
     pathway: str
     columns: tuple
-    direction: Optional[np.ndarray] = None
     rho: Optional[float] = None
 
     @classmethod
@@ -259,10 +261,10 @@ class Checkpoint:
           ``-(z - x) - a Hg`` of that record;
         * terminal (``k = len(records)``, the last record terminal):
           ``s = -g_{k-1}`` over the records before it, with
-          ``H_{k-1} s = -records[k-1].Hg``;
+          ``H_{k-1} s = -records[k-1].Hg``; its gap is at most the threshold;
         * min-width: ``+-d`` for the min-width direction d of ``state.H``,
-          ``state`` being the state after the k records; no other pathway
-          reads an operator.
+          the top unit eigenvector of its inverse, ``state`` being the state
+          after the k records; no other pathway reads an operator.
         """
         history = _history(records)
         if not 1 <= k <= len(history):
@@ -271,11 +273,11 @@ class Checkpoint:
         if pathway == TERMINAL:
             return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
         if pathway == MIN_WIDTH:
-            H = state.H
-            _, d = top_eigenpair(spd_inverse(H))
-            return cls(k, pathway, (_column(history, k, d, H @ d),
-                                    _column(history, k, -d, H @ -d)),
-                       d, 2.0 * avg_radius(state))
+            _, d = top_eigenpair(spd_inverse(state.H))
+            hd = state.H @ d
+            return cls(k, pathway, (_column(history, k, d, hd.copy()),
+                                    _column(history, k, -d, -hd)),
+                       2.0 * avg_radius(state))
         if pathway != PRELIMINARY:
             raise ValueError(f"unknown certificate pathway {pathway!r}")
         if not np.any(history.array("a")[:k] > 0.0):
@@ -286,8 +288,8 @@ class Checkpoint:
         return cls(k, pathway, ((k, s, (last.x - last.z) - last.a * last.Hg),))
 
 
-def certify_checkpoints(records: Sequence[HistoryRecord],
-                        checkpoints: Sequence[Checkpoint]) -> list[Semicertificate]:
+def _certify_checkpoints(history: History,
+                         checkpoints: Sequence[Checkpoint]) -> list[Semicertificate]:
     """The certificates of several prefixes of one run from a single
     backward sweep: one ``Semicertificate`` per checkpoint.
 
@@ -295,7 +297,6 @@ def certify_checkpoints(records: Sequence[HistoryRecord],
     the multipliers with unit weight on the terminal step (terminal), or
     the sum of the two directions' multipliers (min-width).
     """
-    history = _history(records)
     columns = [col for cp in checkpoints for col in cp.columns]
     top = max(k for k, _, _ in columns)
     mus, _ = augment(history[:top], columns=columns)
@@ -313,83 +314,41 @@ def certify_checkpoints(records: Sequence[HistoryRecord],
     return out
 
 
-def _min_width_bound(rho: Optional[float], diameter: float,
-                     inner_radius: float) -> Optional[float]:
-    """The min-width gap bound 2 rho D / (r - rho); None when rho >= r, or
-    without a rho (the other pathways)."""
-    if rho is not None and rho < inner_radius:
-        return 2.0 * rho * diameter / (inner_radius - rho)
-    return None
-
-
 def certify_run(problem: Problem, records: Sequence[HistoryRecord],
                 checkpoints: Sequence[Checkpoint]) -> list[tuple]:
     """The certificates of a run's checkpoints from one backward sweep, with
     their measures: one ``(checkpoint, certificate, gap, residual,
-    gap_bound)`` per checkpoint, in order.  Gap and residual are over the
-    problem's initial ball, from one ``_ball_max``, and None where undefined;
-    ``gap_bound`` is the min-width bound from the checkpoint's rho."""
+    gap_bound)`` per checkpoint, in order.  Gap and residual are ``gap``
+    and ``residual`` over the problem's initial ball, None where undefined;
+    ``gap_bound`` is the min-width bound 2 rho D / (r - rho) on the gap, None
+    when rho >= r (vacuous) or without a rho (the other pathways)."""
     history = _history(records)
+    x0, R = problem.x0, problem.R
+    D, r = problem.feasible.diameter, problem.inner_radius
     rows = []
-    for cp, cert in zip(checkpoints, certify_checkpoints(history, checkpoints)):
-        top = _ball_max(cert.weights, history[:cp.k], problem.x0, problem.R)
-        gap_k = top / cert.gamma_weighted if cert.gamma_weighted > 0.0 else None
-        residual_k = top / cert.productive_weight if cert.is_certificate else None
-        bound = _min_width_bound(cp.rho, problem.feasible.diameter, problem.inner_radius)
+    for cp, cert in zip(checkpoints, _certify_checkpoints(history, checkpoints)):
+        head = history[:cp.k]
+        gap_k = gap(cert, head, x0, R) if cert.gamma_weighted > 0.0 else None
+        residual_k = residual(cert, head, x0, R) if cert.is_certificate else None
+        bound = None
+        if cp.rho is not None and cp.rho < r:
+            bound = 2.0 * cp.rho * D / (r - cp.rho)
         rows.append((cp, cert, gap_k, residual_k, bound))
     return rows
 
 
-def certify_from_preliminary(records: Sequence[HistoryRecord],
-                             terminal: bool = False) -> Semicertificate:
+def certify_from_preliminary(records: Sequence[HistoryRecord]) -> Semicertificate:
     """Turn the recorded step weights into a semicertificate on the initial ball.
 
-    Nonterminal runs: augment against the accumulated model direction
-    ``-sum(a_i g_i)`` and add the multipliers to the step weights; the gap of
-    the result never exceeds the sliding gap.  Terminal runs (gap test hit,
-    or zero subgradient): augment the preceding steps against the last
-    subgradient and give the terminal step unit weight; the gap of the
-    result is at most the termination threshold.  Both start from the
-    records alone, so a plain list of records from a ``step`` loop
-    certifies as a run's history does.  The one-checkpoint case of
-    ``certify_checkpoints``.
+    Augment against the accumulated model direction ``-sum(a_i g_i)`` and
+    add the multipliers to the step weights; the gap of the result never
+    exceeds the sliding gap.  It starts from the records alone, so a plain
+    list of records from a ``step`` loop certifies as a run's history does.
+    The preliminary row of ``certify_run`` at ``len(records)``, without its
+    measures.
     """
     if not records:
         raise ValueError("cannot certify an empty history")
-    pathway = TERMINAL if terminal else PRELIMINARY
-    start = Checkpoint.at(records, len(records), pathway)
-    return certify_checkpoints(records, [start])[0]
-
-
-@dataclass(frozen=True)
-class MinWidthReport:
-    """Certificate built from the min-width direction of the final ellipsoid,
-    for runs without preliminary weights (the standard ellipsoid method)."""
-
-    certificate: Semicertificate
-    direction: np.ndarray
-    rho: float                     # twice the average radius of the final ellipsoid
-    gap_bound: Optional[float]     # 2 rho D / (r - rho); None when rho >= r
-
-
-def certify_standard_ellipsoid(records: Sequence[HistoryRecord],
-                               state: SolverState,
-                               diameter: float,
-                               inner_radius: float) -> MinWidthReport:
-    """Min-width certificate for runs of the standard ellipsoid strategy.
-
-    The direction of minimal width of the final ellipsoid is the top unit
-    eigenvector of the inverse metric's inverse; two sweep columns from
-    ``state.H``, the operator after the records (one for the direction, one
-    for its negation), produce weights whose gap over the initial ball is at
-    most 2 rho D / (r - rho), rho = 2 avrad, provided rho < r.  When
-    rho >= r the weights are still returned but the bound is reported as
-    vacuous (gap_bound None).  The one-checkpoint case of
-    ``certify_checkpoints``.
-    """
-    if not records:
-        raise ValueError("cannot certify an empty history")
-    start = Checkpoint.at(records, len(records), MIN_WIDTH, state)
-    cert = certify_checkpoints(records, [start])[0]
-    return MinWidthReport(certificate=cert, direction=start.direction, rho=start.rho,
-                          gap_bound=_min_width_bound(start.rho, diameter, inner_radius))
+    history = _history(records)
+    start = Checkpoint.at(history, len(history), PRELIMINARY)
+    return _certify_checkpoints(history, [start])[0]

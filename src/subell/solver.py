@@ -212,8 +212,8 @@ class HistoryRecord:
     U: float
     productive: bool
     gnorm: float
-    # the rows of the run this record was read from, and its index there;
-    # None for a record made by a bare ``step``
+    # the rows of the history this record was read from, and its index
+    # there; None for a record made by a bare ``step``
     _rows: object = field(default=None, repr=False, compare=False)
     _k: int = field(default=0, repr=False, compare=False)
 
@@ -221,7 +221,7 @@ class HistoryRecord:
     def H(self) -> np.ndarray:
         """The operator ``H_k`` this step was taken with, replayed from
         ``H_0 = I`` through the run's earlier steps in O(k n^2) and not
-        cached.  Only the records read from a run's history have it."""
+        cached.  Only the records read from a ``History`` have it."""
         if self._rows is None:
             raise ValueError("only a record made by run can replay its operator")
         return self._rows.operator(self._k)
@@ -243,16 +243,14 @@ class _Rows:
     row.  A field is stacked by joining the bytes of the records' own
     vectors, which costs far less per step than numpy's generic stacking;
     ``step`` makes every vector of a record a contiguous float64 array.
-    Reading merges the stacked blocks into one array per field, once.  A
-    run's ``c`` is not stored but derived on first read.
+    Reading merges the stacked blocks into one array per field, once.
+    ``c`` is not stored but derived on first read.
     """
 
-    __slots__ = ("n", "from_run", "vectors", "blocks", "open", "count")
+    __slots__ = ("n", "blocks", "open", "count")
 
-    def __init__(self, n: int, from_run: bool):
+    def __init__(self, n: int):
         self.n = n
-        self.from_run = from_run
-        self.vectors = _VECTORS if from_run else _VECTORS + ("c",)
         self.blocks: list[dict] = []
         self.open: list[HistoryRecord] = []
         self.count = 0
@@ -270,7 +268,7 @@ class _Rows:
             records, k = self.open, len(self.open)
             block = {name: np.frombuffer(b"".join(map(attrgetter(name), records)),
                                          dtype=float).reshape(k, self.n)
-                     for name in self.vectors}
+                     for name in _VECTORS}
             for name in _SCALARS:
                 block[name] = np.fromiter(map(attrgetter(name), records), count=k,
                                           dtype=bool if name == "productive" else float)
@@ -283,7 +281,7 @@ class _Rows:
         if len(self.blocks) != 1:
             # field by field, so that only one field is ever held twice
             merged = {}
-            for key in self.vectors + _SCALARS:
+            for key in _VECTORS + _SCALARS:
                 merged[key] = np.concatenate([block.pop(key) for block in self.blocks])
             self.blocks = [merged]
         arrays = self.blocks[0]
@@ -293,14 +291,13 @@ class _Rows:
 
     def records(self, lo: int, hi: int) -> Iterator[HistoryRecord]:
         """The records of rows ``lo`` to ``hi``: row views and Python
-        scalars, and, for a run, the link ``H`` replays through."""
-        owner = self if self.from_run else None
+        scalars, and the link ``H`` replays through."""
         vectors = [self.array(name)[lo:hi] for name in ("x", "g", "Hg", "z", "c")]
         scalars = [self.array(name)[lo:hi].tolist() for name in _SCALARS]
         for k, (x, g, hg, z, c, a, b, D, sigma, U, productive, gnorm) in enumerate(
                 zip(*vectors, *scalars), lo):
             yield HistoryRecord(x, g, a, b, hg, z, D, c, sigma, U, productive, gnorm,
-                                owner, k)
+                                self, k)
 
     def operator(self, k: int) -> np.ndarray:
         """``H_k``, replayed from ``H_0 = I`` through the first k rows."""
@@ -334,20 +331,24 @@ class History:
     once on first read.  ``array(name)`` is one field over the steps as one
     array.  ``history[k]`` is the ``HistoryRecord`` of step k, with row
     views and Python scalars, and ``history[i:j]`` a ``History`` view of the
-    same rows.  ``History.of`` stacks a plain list of records, keeping the
-    ``c`` each one holds.
+    same rows.  ``History.of`` stacks a plain list of records as a run
+    stacks its steps.
     """
 
     __slots__ = ("_rows", "_lo", "_hi")
 
     def __init__(self, n: int):
-        self._rows = _Rows(n, from_run=True)
+        self._rows = _Rows(n)
         self._lo, self._hi = 0, None
 
     @classmethod
     def of(cls, records: Sequence[HistoryRecord]) -> "History":
+        """A list of records stacked as ``run`` stacks its steps: ``c`` and a
+        read-back record's ``H`` are derived from step 0, equal to the step
+        loop's own bit for bit.  A list that starts later has no valid
+        certificate anyway, as the backward sweep must end at the initial ball."""
         n = len(records[0].x) if len(records) else 0
-        rows = _Rows(n, from_run=False)
+        rows = _Rows(n)
         for rec in records:
             rows.append(rec)
         return cls._view(rows, 0, rows.count)

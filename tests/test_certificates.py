@@ -35,7 +35,7 @@ from helpers import (
     vi_problem,
 )
 from test_cli import _perfbench_module
-from test_solver import FAMILIES
+from test_solver import FAMILIES, _terminal_certificate
 
 
 def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0):
@@ -43,6 +43,15 @@ def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0):
         variant, prob.dim,
         schedule=schedule or Schedule("decay"), delta_term=delta)
     return config, run(prob, config, iters)
+
+
+def _min_width_row(prob, records, state):
+    """The ``certify_run`` row ``(checkpoint, certificate, gap, residual,
+    gap_bound)`` of the min-width certificate of the records before
+    ``state``, the state after ``state.k`` of them."""
+    start = certs.Checkpoint.at(records, state.k, certs.MIN_WIDTH, state)
+    (row,) = certs.certify_run(prob, records, [start])
+    return row
 
 
 def _xhat(cert, records):
@@ -140,7 +149,7 @@ class TestCertifyFromPreliminary:
         config = StrategyConfig.for_variant("ellipsoid-cert", 2, delta_term=delta)
         res = run(prob, config, 2000)
         assert res.termination == "gap-threshold"
-        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        cert = _terminal_certificate(prob, res.records)
         assert cert.weights[-1] == 1.0
         d = certs.gap(cert, res.records, prob.x0, prob.R)
         assert d <= delta + 1e-9
@@ -175,27 +184,24 @@ class TestStandardEllipsoidCertificate:
         prob = max_affine_ball(np.random.default_rng(7), 2)
         config = StrategyConfig.for_variant("ellipsoid", 2)
         res = run(prob, config, 30)
-        report = certs.certify_standard_ellipsoid(
-            res.records, res.state, prob.feasible.diameter, prob.inner_radius)
-        # width of the final ellipsoid along the reported direction
+        start, *_ = _min_width_row(prob, res.records, res.state)
+        # width of the final ellipsoid along the direction of the first column
         width = 2.0 * math.sqrt(res.state.Rsq) * dual_norm(res.state.H,
-                                                           report.direction)
-        assert width <= report.rho + 1e-12
-        assert report.rho == pytest.approx(2.0 * avg_radius(res.state), rel=1e-14)
+                                                           start.columns[0][1])
+        assert width <= start.rho + 1e-12
+        assert start.rho == pytest.approx(2.0 * avg_radius(res.state), rel=1e-14)
 
     def test_end_to_end_gap_bound(self):
         prob = max_affine_ball(np.random.default_rng(8), 2)
         config = StrategyConfig.for_variant("ellipsoid", 2)
         res = run(prob, config, 30)
-        report = certs.certify_standard_ellipsoid(
-            res.records, res.state, prob.feasible.diameter, prob.inner_radius)
-        cert = report.certificate
-        rho, D, r = report.rho, prob.feasible.diameter, prob.inner_radius
-        assert rho < r and report.gap_bound is not None
+        start, cert, _, _, gap_bound = _min_width_row(prob, res.records, res.state)
+        rho, D, r = start.rho, prob.feasible.diameter, prob.inner_radius
+        assert rho < r and gap_bound is not None
         assert cert.gamma_weighted >= (r - rho) / D - 1e-12
         d = certs.gap(cert, res.records, prob.x0, prob.R)
-        assert d <= report.gap_bound + 1e-9
-        assert report.gap_bound == pytest.approx(2 * rho * D / (r - rho), rel=1e-14)
+        assert d <= gap_bound + 1e-9
+        assert gap_bound == pytest.approx(2 * rho * D / (r - rho), rel=1e-14)
         # the weighted model stays within twice the width over the initial ball
         lhs = ball_support_with_cuts(cert.weights, res.records,
                                      np.zeros(prob.dim), prob.x0, prob.R)
@@ -205,10 +211,9 @@ class TestStandardEllipsoidCertificate:
         prob = max_affine_ball(np.random.default_rng(9), 2)
         config = StrategyConfig.for_variant("ellipsoid", 2)
         res = run(prob, config, 2)  # too early: rho >= r
-        report = certs.certify_standard_ellipsoid(
-            res.records, res.state, prob.feasible.diameter, prob.inner_radius)
-        assert report.rho >= prob.inner_radius
-        assert report.gap_bound is None
+        start, *_, gap_bound = _min_width_row(prob, res.records, res.state)
+        assert start.rho >= prob.inner_radius
+        assert gap_bound is None
 
 
 class TestGapAndResidual:
@@ -315,7 +320,7 @@ class TestEndToEndTarget:
                                                 delta_term=delta)
             res = run(prob, config, 5000)
             assert res.termination == "gap-threshold"
-            cert = certs.certify_from_preliminary(res.records, terminal=True)
+            cert = _terminal_certificate(prob, res.records)
             d = certs.gap(cert, res.records, prob.x0, prob.R)
             assert d <= delta + 1e-9
             measured = certs.residual(cert, res.records, prob.x0, prob.R)
@@ -373,7 +378,7 @@ class TestNonproductiveTerminal:
         res = run(prob, config, 5)
         assert res.termination == "gap-threshold"
         assert not res.records[-1].productive
-        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        cert = _terminal_certificate(prob, res.records)
         assert not cert.is_certificate
         assert cert.gamma_weighted > 0.0
         assert certs.gap(cert, res.records, prob.x0, prob.R) <= prob.R + 1e-9
@@ -453,11 +458,10 @@ class TestScaleFreeTwoCutRegressions:
     def test_min_width_gap_within_bound(self, seed):
         prob = max_affine_ball(np.random.default_rng(seed), 2)
         _, res = _run(prob, variant="ellipsoid", iters=140)
-        report = certs.certify_standard_ellipsoid(
-            res.records, res.state, prob.feasible.diameter, prob.inner_radius)
-        got = certs.gap(report.certificate, res.records, prob.x0, prob.R)
-        assert report.gap_bound is not None
-        assert got <= report.gap_bound + 1e-9
+        _, cert, _, _, gap_bound = _min_width_row(prob, res.records, res.state)
+        got = certs.gap(cert, res.records, prob.x0, prob.R)
+        assert gap_bound is not None
+        assert got <= gap_bound + 1e-9
 
 
 def _reference_augment(records, s_final, final_operator):
@@ -576,11 +580,9 @@ def _checkpoint_states(prob, res, ks):
 def _certify_at(prob, variant, records, state_k):
     """The certificate ``subell certify`` builds from the first k records,
     given the state ``state_k`` after them."""
-    head = records[:state_k.k]
     if variant == "ellipsoid":
-        return certs.certify_standard_ellipsoid(
-            head, state_k, prob.feasible.diameter, prob.inner_radius).certificate
-    return certs.certify_from_preliminary(head)
+        return _min_width_row(prob, records, state_k)[1]
+    return certs.certify_from_preliminary(records[:state_k.k])
 
 
 def _reference_mu(final_operator):
@@ -626,7 +628,7 @@ class TestMatrixFreeBackwardPass:
         H_last = reconstruct_state(prob, res.records, len(res.records) - 1,
                                    res.state).H
         assert np.array_equal(H_last, res.state.H)
-        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        cert = _terminal_certificate(prob, res.records)
         head, s = res.records[:-1], -res.records[-1].g
         _assert_agrees(
             cert.weights, np.append(_reference_mu(H_last)(head, s), 1.0),
@@ -780,30 +782,33 @@ class TestOneSweep:
                 _assert_agrees(mus[row + j, :start.k], alone[j],
                                lambda: pytest.fail("outside the 1e-12 rules"))
             row += len(start.columns)
-        # the one-checkpoint entry points are the same sweep
-        joint = certs.certify_checkpoints(records, starts)
+        # the one-checkpoint routes are the same sweep
+        joint = [cert for _, cert, _, _, _ in certs.certify_run(prob, records, starts)]
         assert np.array_equal(
-            certs.certify_standard_ellipsoid(records[:37], state_37, 1.0, 0.5)
-            .certificate.weights, certs.certify_checkpoints(records, starts[1:2])[0].weights)
+            _min_width_row(prob, records[:37], state_37)[1].weights,
+            certs.certify_run(prob, records, starts[1:2])[0][1].weights)
         _assert_agrees(joint[0].weights,
                        certs.certify_from_preliminary(records).weights,
                        lambda: pytest.fail("outside the 1e-12 rules"))
 
     @pytest.mark.parametrize("variant", ["subgrad-ellipsoid", "ellipsoid"])
     def test_certify_run_rows(self, variant):
-        # each row of the entry point holds the certificate of the
-        # one-checkpoint route, with the measures ``gap`` and ``residual``
-        # give and the min-width rho and bound of ``certify_standard_ellipsoid``
+        # each row of the entry point holds the certificate of its
+        # checkpoint's own sweep, with the measures ``gap`` and ``residual``
+        # give and, on the min-width pathway, rho = 2 avrad and the bound
+        # 2 rho D / (r - rho) in closed form
         prob = max_affine_ball(np.random.default_rng(7), 2)
+        D, r = prob.feasible.diameter, prob.inner_radius
         _, res = _run(prob, variant, iters=140)
         for state in _checkpoint_states(prob, res, [70, 140]):
             head = res.records[:state.k]
             if variant == "ellipsoid":
                 start = certs.Checkpoint.at(res.records, state.k, certs.MIN_WIDTH, state)
-                report = certs.certify_standard_ellipsoid(
-                    head, state, prob.feasible.diameter, prob.inner_radius)
-                want, want_bound = report.certificate, report.gap_bound
-                assert start.rho == report.rho
+                mus, _ = certs.augment(head, columns=start.columns)
+                want = certs.Semicertificate.from_weights(mus[0] + mus[1], head)
+                rho = 2.0 * avg_radius(state)
+                assert start.rho == rho and rho < r
+                want_bound = 2.0 * rho * D / (r - rho)
             else:
                 start = certs.Checkpoint.at(res.records, state.k, certs.PRELIMINARY)
                 want, want_bound = certs.certify_from_preliminary(head), None
@@ -836,7 +841,7 @@ class TestOneSweep:
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 2, delta_term=2.0 * prob.R)
         res = run(prob, config, 5)
         assert res.termination == "gap-threshold" and len(res.records) == 1
-        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        cert = _terminal_certificate(prob, res.records)
         assert cert.weights.tolist() == [1.0]
         path = tmp_path / "problem.json"
         save_problem(prob, path)

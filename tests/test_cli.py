@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,9 +406,28 @@ def test_traced_certify_reports_every_layer_metric(tmp_path, command):
     _assert_every_layer_metric(metrics)
     assert metrics["certificates.augment_calls"] == 1
     assert metrics["certificates.backward_steps"] == 20
+    # ``certify_run`` measures every row through ``gap``, where the tracer hooks it
+    assert metrics["certificates.gap_us"] > 0
     if command[2] == "ellipsoid":
         # the min-width state chain is a real call where the tracer hooks it
         assert metrics["solver.reconstruct_state_us"] > 0
+
+
+def test_readme_library_blocks_run(tmp_path, monkeypatch, capsys):
+    """The README's Python blocks run as written, in a directory whose
+    ``problem.json`` is the benchmark's seed-1 n=5 problem, the one the
+    traced commands above run on.  This test does not cover the README's own
+    2-D problem file: certifying it fails today (its minimizers form a
+    segment, and the metric collapses along one direction; ROADMAP items 1
+    and 2)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    _perfbench_module("generate").write_problem(tmp_path / "problem.json", 1, 5)
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 # the two healthy runs whose backward direction cancels to rounding noise

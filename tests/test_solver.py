@@ -370,7 +370,7 @@ class TestRun:
         res = run(prob, config, 10)
         assert res.termination == "zero-subgradient"
         assert len(res.records) == 1 and not np.any(res.records[-1].g)
-        cert = certs.certify_from_preliminary(res.records, terminal=True)
+        cert = _terminal_certificate(prob, res.records)
         assert np.array_equal(cert.weights, np.array([1.0]))
         assert cert.is_certificate and cert.gamma_weighted == 0.0
         assert certs.residual(cert, res.records, prob.x0, prob.R) == 0.0
@@ -547,6 +547,14 @@ def _quadratic_ball(rng, n):
     })
 
 
+def _terminal_certificate(prob, records):
+    """The terminal certificate of a run that stopped on its last record, as
+    ``subell certify`` builds it."""
+    start = certs.Checkpoint.at(records, len(records), certs.TERMINAL)
+    (_, cert, _, _, _), = certs.certify_run(prob, records, [start])
+    return cert
+
+
 FAMILIES = {
     "max-affine-ball": lambda rng: max_affine_ball(rng, 4),
     "max-affine-box": lambda rng: max_affine_box(rng, 3),
@@ -672,6 +680,30 @@ class TestLeanHistory:
                                             schedule=Schedule("decay"))
         lean = self._assert_lean_matches_full(prob, config, 10)
         assert lean.termination == "zero-subgradient"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", ["max-affine-ball", "max-affine-box"])
+    def test_stacked_step_loop_reads_back_as_a_run(self, family, variant):
+        # ``History.of`` stacks the records of a bare ``step`` loop as
+        # ``run`` stacks its own: every record read back has the loop's
+        # ``c`` and replays the loop's ``H`` bit for bit, over two blocks
+        prob = FAMILIES[family](np.random.default_rng(52))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        state, states, stepped = initial_state(prob), [], []
+        for _ in range(BLOCK_ROWS + 20):
+            states.append(state)
+            state, rec, terminal = step(state, prob.oracle(state.x), config)
+            stepped.append(rec)
+            if terminal:
+                break
+        listed = History.of(stepped)
+        assert len(listed) == len(stepped) > BLOCK_ROWS
+        for rec, want in zip(listed, states):
+            assert rec.c.tobytes() == want.c.tobytes()
+            assert rec.H.tobytes() == want.H.tobytes()
+        with pytest.raises(ValueError, match="made by run"):
+            stepped[-1].H
 
     def test_dropped_result_is_freed_without_the_cycle_collector(self):
         prob = max_affine_ball(np.random.default_rng(51), 30)
