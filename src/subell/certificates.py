@@ -21,9 +21,9 @@ pathways (``Checkpoint.at``); only the min-width direction needs ``H_k``.
 ``certify_run`` is the one route from checkpoints to certificates, each
 with its gap, residual and min-width bound.
 
-Every reader here takes the records as a run's ``History`` and reads its
-stacked arrays (``_history``); a plain list of records is stacked once, as
-a run stacks it, and must start at step 0.
+Every reader here takes the records through ``History.of`` (a run's
+``History`` as it is, a plain list from step 0 stacked once) and reads the
+stacked arrays, the ``g.Hg`` that each step recorded included.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Semicertificate:
     def from_weights(cls, weights: np.ndarray,
                      records: Sequence[HistoryRecord]) -> "Semicertificate":
         weights = np.asarray(weights, dtype=float)
-        history = _history(records)
+        history = History.of(records)
         if len(weights) != len(history):
             raise ValueError(
                 f"{len(weights)} weights for {len(history)} recorded steps"
@@ -84,17 +84,11 @@ class Semicertificate:
         return self.productive_weight > 0.0
 
 
-def _history(records: Sequence[HistoryRecord]) -> History:
-    """``records`` as a ``History``, whose ``array`` every reader here uses:
-    a ``History`` as it is, and a plain list of records stacked once."""
-    return records if isinstance(records, History) else History.of(records)
-
-
 def _ball_max(weights: np.ndarray, records: Sequence[HistoryRecord],
               x0: np.ndarray, R: float) -> float:
     """max over x in B(x0, R) of sum(lambda_i <g_i, x_i - x>), in closed form:
     with w = sum(lambda_i g_i), it is sum(lambda_i <g_i, x_i>) - <w, x0> + R|w|."""
-    history = _history(records)
+    history = History.of(records)
     G = history.array("g")
     w = weights @ G
     val = float(weights @ np.einsum("ij,ij->i", G, history.array("x")))
@@ -133,7 +127,7 @@ def _column(history: History, k: int, s: np.ndarray,
     back in place through record k-1's update
     ``H_{k-1} = H_k + beta (Hg)(Hg)^T``, ``beta = b / (1 + b g.Hg)``."""
     if k > 0 and (rec := history[k - 1]).b != 0.0:
-        beta = rec.b / (1.0 + rec.b * float(rec.g @ rec.Hg))
+        beta = rec.b / (1.0 + rec.b * rec.gHg)
         hs += (beta * float(rec.Hg @ s)) * rec.Hg
     return k, s, hs
 
@@ -165,12 +159,11 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
     mags = np.sqrt((S * S).sum(axis=1))
     mus = np.zeros((len(columns), K))
     X, G, HG, Z, C = (history.array(name) for name in ("x", "g", "Hg", "z", "c"))
-    B, Ds, sigmas, gnorms = (history.array(name).tolist()
-                             for name in ("b", "D", "sigma", "gnorm"))
+    B, Ds, sigmas, gnorms, gHgs = (history.array(name).tolist()
+                                   for name in ("b", "D", "sigma", "gnorm", "gHg"))
     live = 0
     for i in range(K - 1, -1, -1):
-        g, hg, b, D = G[i], HG[i], B[i], Ds[i]
-        gHg = float(g.dot(hg))
+        g, hg, b, D, gHg = G[i], HG[i], B[i], Ds[i], gHgs[i]
         if live and b != 0.0:  # H_{i+1} S -> H_i S
             Vt = V[:live]
             Vt += (b / (1.0 + b * gHg) * S[:live].dot(hg))[:, None] * hg
@@ -216,7 +209,7 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     ``H_i g_i`` (recorded).  For one direction ``s_final``, ``v = H_i s``
     starts from ``final_operator`` (the operator after the last record)
     stepped back one record, or else from the last record's replayed
-    operator ``records[-1].H``; returns ``(mu, s_0)``.  The weights mu
+    operator ``history[-1].H``; returns ``(mu, s_0)``.  The weights mu
     satisfy: the support of the augmented model over the initial ball never
     exceeds the support of ``s_k`` over the final localizer.
 
@@ -225,7 +218,7 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     records, which joins the sweep at record ``k - 1``.  Returns
     ``(mus, S_0)`` with one row per column.
     """
-    history = _history(records)
+    history = History.of(records)
     if columns is not None:
         return _sweep(history, columns)
     s = np.asarray(s_final, dtype=float)
@@ -233,7 +226,7 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     if not K:
         return np.zeros(0), s.copy()
     if final_operator is None:
-        column = (K, s, records[-1].H @ s)
+        column = (K, s, history[-1].H @ s)
     else:
         column = _column(history, K, s, final_operator @ s)
     mus, S = _sweep(history, [column])
@@ -266,7 +259,7 @@ class Checkpoint:
           the top unit eigenvector of its inverse, ``state`` being the state
           after the k records; no other pathway reads an operator.
         """
-        history = _history(records)
+        history = History.of(records)
         if not 1 <= k <= len(history):
             raise ValueError(f"cannot certify {k} of {len(history)} records")
         last = history[k - 1]
@@ -322,7 +315,7 @@ def certify_run(problem: Problem, records: Sequence[HistoryRecord],
     and ``residual`` over the problem's initial ball, None where undefined;
     ``gap_bound`` is the min-width bound 2 rho D / (r - rho) on the gap, None
     when rho >= r (vacuous) or without a rho (the other pathways)."""
-    history = _history(records)
+    history = History.of(records)
     x0, R = problem.x0, problem.R
     D, r = problem.feasible.diameter, problem.inner_radius
     rows = []
@@ -349,6 +342,6 @@ def certify_from_preliminary(records: Sequence[HistoryRecord]) -> Semicertificat
     """
     if not records:
         raise ValueError("cannot certify an empty history")
-    history = _history(records)
+    history = History.of(records)
     start = Checkpoint.at(history, len(history), PRELIMINARY)
     return _certify_checkpoints(history, [start])[0]

@@ -23,13 +23,12 @@ Everything per iteration costs O(n^2): two matrix-vector products plus a
 rank-one update.  The per-step history recorded here is exactly what the
 certificate backward pass (module ``certificates``) needs; it holds O(n)
 numbers per step and no operator.  A run keeps it stacked, as a
-``History``: four n-wide rows and seven scalars per step, in blocks that
-are stacked once when full.  Step 4 is stated once, in ``_advance``:
-``step`` applies it to the record it has just made and
-``reconstruct_state`` to the recorded steps, and ``HistoryRecord.H``
-replays its rank-one part (``_rank_one_update``) over the run's
-``History``, so a replayed state or operator equals the run's own bit for
-bit.
+``History``: four n-wide rows and eight scalars per step, ``g.Hg`` among
+them, in blocks stacked once when full.  Step 4 is stated once, in
+``_advance``: ``step`` applies it to its own products and
+``reconstruct_state`` to the stacked rows, and ``HistoryRecord.H`` replays
+its rank-one part (``_rank_one_update``) over the same rows, so a replayed
+state or operator equals the run's own bit for bit.
 """
 
 from __future__ import annotations
@@ -181,7 +180,6 @@ class SolverState:
     sigma: float         # accumulated offsets:      sum a_i <g_i, x_i>
     Gamma: float         # accumulated weight mass:  sum a_i |g_i|
     R0: float
-    x0: np.ndarray
     log_det_H: float = 0.0
 
 
@@ -191,11 +189,12 @@ class HistoryRecord:
 
     Keeps the matrix-vector product ``Hg`` instead of the operator: with it
     the backward certificate pass carries ``H_i s`` from step to step in
-    O(n), and ``_advance`` replays the update.  ``gnorm`` is ``|g|``, as
-    ``step`` formed it.  ``step`` makes one plain mutable record per step;
-    ``run`` stacks its fields into the run's ``History``, and indexing that
-    history makes a record again, of row views and Python scalars, which
-    remembers where it was read.  ``H`` replays the operator in force when
+    O(n), and ``_advance`` replays the update.  ``gnorm`` is ``|g|`` and
+    ``gHg`` is ``g.Hg``, as ``step`` formed them; nothing forms them again.
+    ``step`` makes one plain mutable record per step; ``run`` stacks its
+    fields into the run's ``History``, and indexing that history makes a
+    record again, of row views and Python scalars, which remembers where
+    it was read.  ``H`` replays the operator in force when
     the step was taken from those rows; a record points to its history, and
     a history to no record, so a dropped history is freed at once.
     """
@@ -212,6 +211,7 @@ class HistoryRecord:
     U: float
     productive: bool
     gnorm: float
+    gHg: float
     # the rows of the history this record was read from, and its index
     # there; None for a record made by a bare ``step``
     _rows: object = field(default=None, repr=False, compare=False)
@@ -231,7 +231,10 @@ class HistoryRecord:
 # still in cache when it is stacked
 BLOCK_ROWS = 64
 _VECTORS = ("x", "g", "Hg", "z")
-_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm")
+_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm", "gHg")
+# the fields of a record, in the order ``HistoryRecord`` takes them
+_FIELDS = ("x", "g", "a", "b", "Hg", "z", "D", "c", "sigma", "U", "productive",
+           "gnorm", "gHg")
 
 
 class _Rows:
@@ -289,22 +292,22 @@ class _Rows:
             arrays["c"] = _prefix_sums(arrays["a"], arrays["g"])
         return arrays[name]
 
+    def fields(self, names: Sequence[str], lo: int, hi: int) -> Iterator[tuple]:
+        """Fields ``names`` of rows ``lo`` to ``hi``, one tuple per row:
+        row views of the vectors and Python scalars."""
+        return zip(*(self.array(name)[lo:hi] if name in _VECTORS or name == "c"
+                     else self.array(name)[lo:hi].tolist() for name in names))
+
     def records(self, lo: int, hi: int) -> Iterator[HistoryRecord]:
-        """The records of rows ``lo`` to ``hi``: row views and Python
-        scalars, and the link ``H`` replays through."""
-        vectors = [self.array(name)[lo:hi] for name in ("x", "g", "Hg", "z", "c")]
-        scalars = [self.array(name)[lo:hi].tolist() for name in _SCALARS]
-        for k, (x, g, hg, z, c, a, b, D, sigma, U, productive, gnorm) in enumerate(
-                zip(*vectors, *scalars), lo):
-            yield HistoryRecord(x, g, a, b, hg, z, D, c, sigma, U, productive, gnorm,
-                                self, k)
+        """The records of rows ``lo`` to ``hi``, linked for ``H`` to replay."""
+        for k, values in enumerate(self.fields(_FIELDS, lo, hi), lo):
+            yield HistoryRecord(*values, self, k)
 
     def operator(self, k: int) -> np.ndarray:
         """``H_k``, replayed from ``H_0 = I`` through the first k rows."""
         H = np.eye(self.n)
-        for g, hg, b in zip(self.array("g")[:k], self.array("Hg")[:k],
-                            self.array("b")[:k].tolist()):
-            H = _rank_one_update(H, hg, b, 1.0 + b * float(g @ hg))
+        for hg, b, gHg in self.fields(("Hg", "b", "gHg"), 0, k):
+            H = _rank_one_update(H, hg, b, 1.0 + b * gHg)
         return H
 
 
@@ -324,15 +327,16 @@ class History:
     """The recorded steps of one run, stacked.
 
     ``x``, ``g``, ``Hg`` and ``z`` are n-wide rows, and ``a``, ``b``, ``D``,
-    ``sigma``, ``U``, ``productive`` and ``gnorm`` one scalar per step:
-    O(n) numbers per step.  While a run grows it, they are stacked in
+    ``sigma``, ``U``, ``productive``, ``gnorm`` and ``gHg`` one scalar per
+    step: O(n) numbers per step.  While a run grows it, they are stacked in
     blocks of ``BLOCK_ROWS`` steps; the first read merges the blocks.  ``c``
     is not stored; it is the running sum of the rows ``a_i g_i``, derived
     once on first read.  ``array(name)`` is one field over the steps as one
     array.  ``history[k]`` is the ``HistoryRecord`` of step k, with row
     views and Python scalars, and ``history[i:j]`` a ``History`` view of the
-    same rows.  ``History.of`` stacks a plain list of records as a run
-    stacks its steps.
+    same rows.  ``History.of`` is the one way in for a reader that takes
+    records: it returns a ``History`` as it is and stacks a plain list of
+    records as a run stacks its steps.
     """
 
     __slots__ = ("_rows", "_lo", "_hi")
@@ -343,10 +347,12 @@ class History:
 
     @classmethod
     def of(cls, records: Sequence[HistoryRecord]) -> "History":
-        """A list of records stacked as ``run`` stacks its steps: ``c`` and a
-        read-back record's ``H`` are derived from step 0, equal to the step
-        loop's own bit for bit.  A list that starts later has no valid
-        certificate anyway, as the backward sweep must end at the initial ball."""
+        """``records`` as a ``History``: a ``History`` as it is, and a list of
+        records stacked as ``run`` stacks its steps, with ``c`` and a read-back
+        record's ``H`` from step 0, bit for bit the step loop's own.  A list
+        must start at step 0: the backward sweep ends at the initial ball."""
+        if isinstance(records, History):
+            return records
         n = len(records[0].x) if len(records) else 0
         rows = _Rows(n)
         for rec in records:
@@ -393,6 +399,10 @@ class History:
     def __iter__(self) -> Iterator[HistoryRecord]:
         return self._rows.records(self._lo, self._lo + len(self))
 
+    def _fields(self, names: Sequence[str]) -> Iterator[tuple]:
+        """``_Rows.fields`` of every step: no record is made."""
+        return self._rows.fields(names, self._lo, self._lo + len(self))
+
 
 def initial_state(problem: Problem) -> SolverState:
     n = problem.dim
@@ -405,7 +415,6 @@ def initial_state(problem: Problem) -> SolverState:
         sigma=0.0,
         Gamma=0.0,
         R0=problem.R,
-        x0=np.array(problem.x0, dtype=float),
     )
 
 
@@ -470,31 +479,27 @@ def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
     return new_H
 
 
-def _advance(state: SolverState, rec: HistoryRecord,
-             t: Optional[float] = None) -> SolverState:
-    """The state after the nonterminal step ``rec`` taken at ``state``.
+def _advance(state: SolverState, g: np.ndarray, hg: np.ndarray, a: float,
+             b: float, U: float, gnorm: float, gHg: float) -> SolverState:
+    """The state after the nonterminal step with the recorded fields
+    ``(g, Hg, a, b, U, |g|, g.Hg)`` taken at ``state``.
 
     Shifts the point along ``H g``, applies the rank-one update to ``H`` and
-    rolls the ``(R^2, c, sigma, Gamma, log det H)`` recurrences forward,
-    all from the recorded ``(g, a, b, Hg, U, |g|)``; ``t`` is ``g.Hg`` when
-    the caller already has it.  The only statement of the update.
+    rolls the ``(R^2, c, sigma, Gamma, log det H)`` recurrences forward.
+    The only statement of the update.
     """
-    g, hg, a, b = rec.g, rec.Hg, rec.a, rec.b
-    if t is None:
-        t = float(g @ hg)
-    denom = 1.0 + b * t
-    shift = a + 0.5 * b * rec.U
+    denom = 1.0 + b * gHg
+    shift = a + 0.5 * b * U
     return SolverState(
         state.k + 1,
         state.x - (shift / denom) * hg,
         _rank_one_update(state.H, hg, b, denom),
-        state.Rsq + shift ** 2 * t / denom,
+        state.Rsq + shift ** 2 * gHg / denom,
         state.c + a * g,
         state.sigma + a * float(g @ state.x),
-        state.Gamma + a * rec.gnorm,
+        state.Gamma + a * gnorm,
         state.R0,
-        state.x0,
-        state.log_det_H - math.log1p(b * t),
+        state.log_det_H - math.log1p(b * gHg),
     )
 
 
@@ -512,7 +517,7 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     arrays, which nothing writes to, and ``state`` is left untouched.  On a
     terminal iteration (U_k <= delta |g_k|, which a zero oracle vector
     always meets) the weights are zero and the state is returned unchanged;
-    otherwise the new state is ``_advance(state, record)``.
+    otherwise the new state is ``_advance`` of the record's fields.
     """
     g = response.g.astype(float)
     z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
@@ -534,10 +539,10 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     # nothing writes to a state's arrays or to hg once made, so the record
     # can share them
     record = HistoryRecord(state.x, g, a, b, hg, z, D, state.c,
-                           state.sigma, U, response.productive, gnorm)
+                           state.sigma, U, response.productive, gnorm, t)
     if terminal:
         return state, record, True
-    return _advance(state, record, t), record, False
+    return _advance(state, g, hg, a, b, U, gnorm, t), record, False
 
 
 def sliding_gap(state: SolverState, *, localizer=None) -> float:
@@ -634,20 +639,21 @@ def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
                       start: Optional[SolverState] = None) -> SolverState:
     """State after the first k recorded steps of a run.
 
-    ``final_state`` when k is the number of records; otherwise the records
-    from ``start`` (default: the initial state) up to k replayed through
-    ``_advance``, which equals the run's own state bit for bit.  Chaining
-    increasing checkpoints through ``start`` replays each record once, in
-    O(n^2) per record.
+    ``final_state`` when k is the number of records; otherwise the stacked
+    rows from ``start`` (default: the initial state) up to k replayed
+    through ``_advance``, which equals the run's own state bit for bit.
+    Chaining increasing checkpoints through ``start`` replays each record
+    once, in O(n^2) per record.
     """
-    if k == len(records):
+    history = History.of(records)
+    if k == len(history):
         return final_state
     state = initial_state(problem) if start is None else start
-    if not state.k <= k < len(records):
+    if not state.k <= k < len(history):
         raise ValueError(f"checkpoint {k} outside the recorded range "
-                         f"[{state.k}, {len(records)}]")
-    for rec in records[state.k:k]:
-        state = _advance(state, rec)
+                         f"[{state.k}, {len(history)}]")
+    for row in history[state.k:k]._fields(("g", "Hg", "a", "b", "U", "gnorm", "gHg")):
+        state = _advance(state, *row)
     return state
 
 

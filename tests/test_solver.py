@@ -649,7 +649,7 @@ class TestLeanHistory:
             for got, want in zip(view, listed[a:b]):
                 cls._assert_same_record(got, want)
         for rec in listed:
-            for name in ("a", "b", "D", "sigma", "U", "gnorm"):
+            for name in ("a", "b", "D", "sigma", "U", "gnorm", "gHg"):
                 assert type(getattr(rec, name)) is float, name
             assert type(rec.productive) is bool
 
@@ -704,6 +704,29 @@ class TestLeanHistory:
             assert rec.H.tobytes() == want.H.tobytes()
         with pytest.raises(ValueError, match="made by run"):
             stepped[-1].H
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_record_keeps_the_steps_own_gHg(self, family, variant):
+        # ``step`` forms g.Hg once, and the records of a run, of a bare
+        # ``step`` loop and of that loop stacked all keep that very float;
+        # ``History.of`` hands a history, or a view of one, back as it is
+        prob = FAMILIES[family](np.random.default_rng(53))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        state, stepped = initial_state(prob), []
+        for _ in range(BLOCK_ROWS + 20):
+            state, rec, terminal = step(state, prob.oracle(state.x), config)
+            stepped.append(rec)
+            if terminal:
+                break
+        res = run(prob, config, BLOCK_ROWS + 20)
+        for records in (stepped, History.of(stepped), res.records):
+            for rec in records:
+                assert type(rec.gHg) is float
+                assert rec.gHg.hex() == float(rec.g @ rec.Hg).hex()
+        for history in (res.records, res.records[3:10], History.of(stepped)):
+            assert History.of(history) is history
 
     def test_dropped_result_is_freed_without_the_cycle_collector(self):
         prob = max_affine_ball(np.random.default_rng(51), 30)
@@ -820,7 +843,6 @@ def _reference_advance(state, rec):
         sigma=state.sigma + a * float(g @ state.x),
         Gamma=state.Gamma + a * gnorm,
         R0=state.R0,
-        x0=state.x0,
         log_det_H=state.log_det_H - math.log1p(b * t),
     )
 
