@@ -33,7 +33,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import spd_inverse, top_eigenpair
+# ``spd_inverse`` is not called here any more; the benchmark's tracer looks
+# it up in this module
+from .linalg import spd_inverse, top_eigenpair  # noqa: F401
 from .oracles import Problem
 from .solver import History, HistoryRecord, SolverState, avg_radius
 # ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
@@ -256,8 +258,10 @@ class Checkpoint:
           ``s = -g_{k-1}`` over the records before it, with
           ``H_{k-1} s = -records[k-1].Hg``; its gap is at most the threshold;
         * min-width: ``+-d`` for the min-width direction d of ``state.H``,
-          the top unit eigenvector of its inverse, ``state`` being the state
-          after the k records; no other pathway reads an operator.
+          its bottom unit eigenvector (the top one of ``-H``, from one
+          eigendecomposition, which a collapsed metric does not break),
+          ``state`` being the state after the k records; no other pathway
+          reads an operator.
         """
         history = History.of(records)
         if not 1 <= k <= len(history):
@@ -266,7 +270,7 @@ class Checkpoint:
         if pathway == TERMINAL:
             return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
         if pathway == MIN_WIDTH:
-            _, d = top_eigenpair(spd_inverse(state.H))
+            _, d = top_eigenpair(-state.H)
             hd = state.H @ d
             return cls(k, pathway, (_column(history, k, d, hd.copy()),
                                     _column(history, k, -d, -hd)),

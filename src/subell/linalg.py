@@ -5,8 +5,8 @@ product; every operator in this package is then just a dense symmetric
 ``numpy`` array.  This module provides the few primitives the solver and
 the certificates need: a square root guarded against round-off
 (``nonneg_sqrt``), the dual norm given the inverse operator (``dual_norm``),
-the SPD inverse and symmetrization, and the top eigenpair used by the
-min-width certificate.  The rank-one update of the inverse metric lives with
+the SPD inverse and symmetrization, and the top eigenpair of a symmetric
+matrix, which the min-width certificate takes of ``-H``.  The rank-one update of the inverse metric lives with
 the step that makes it (``solver``).
 """
 
@@ -60,7 +60,7 @@ def spd_inverse(H: np.ndarray) -> np.ndarray:
 
 
 def top_eigenpair(G: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a symmetric PD matrix and a unit eigenvector.
+    """Largest eigenvalue of a symmetric matrix and a unit eigenvector.
 
     Taken from the full symmetric eigendecomposition (``eigh``, which reads
     one triangle of ``G``), with the sign fixed so that ``<v, 1> >= 0``, the
@@ -68,7 +68,7 @@ def top_eigenpair(G: np.ndarray) -> tuple[float, np.ndarray]:
     certificates stay reproducible.
 
     Returns ``(lam, v)`` with ``|v| = 1``; the residual ``|G v - lam v|``
-    is at round-off level, about ``n eps lam``.
+    is at round-off level, about ``n eps max|lam_i|``.
     """
     evals, evecs = np.linalg.eigh(G)
     v = evecs[:, -1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subell import certificates as certs
-from subell.linalg import dual_norm, spd_inverse, symmetrize, top_eigenpair
+from subell.linalg import dual_norm, symmetrize, top_eigenpair
 from subell.cli import main
 from subell.oracles import load_problem, problem_from_dict, save_problem
 from subell.solver import (
@@ -35,7 +35,7 @@ from helpers import (
     vi_problem,
 )
 from test_cli import _perfbench_module
-from test_solver import FAMILIES, _terminal_certificate
+from test_solver import FAMILIES, _quadratic_ball, _terminal_certificate
 
 
 def _run(prob, variant="subgrad-ellipsoid", iters=16, schedule=None, delta=0.0):
@@ -214,6 +214,22 @@ class TestStandardEllipsoidCertificate:
         start, *_, gap_bound = _min_width_row(prob, res.records, res.state)
         assert start.rho >= prob.inner_radius
         assert gap_bound is None
+
+    def test_collapsed_metric_certifies(self):
+        # 200 ellipsoid steps collapse this metric (the eigenvalues of H are
+        # -2.5e-56 and 1.4e-40): no Cholesky of H succeeds, and the
+        # direction comes from one eigendecomposition of -H instead
+        prob = _quadratic_ball(np.random.default_rng(10), 2)
+        config = StrategyConfig.for_variant("ellipsoid", 2)
+        res = run(prob, config, 200)
+        assert len(res.records) == 200
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(res.state.H)
+        start, cert, gap, _, gap_bound = _min_width_row(prob, res.records, res.state)
+        _, d = top_eigenpair(-res.state.H)
+        assert np.array_equal(start.columns[0][1], d)
+        assert cert.gamma_weighted > 0.0 and gap_bound is not None
+        assert gap <= gap_bound
 
 
 class TestGapAndResidual:
@@ -529,7 +545,7 @@ def _certificate_weights(augment, records, variant, state):
     """Preliminary or min-width certificate weights of the records, built on
     the given backward pass (``augment(records, s) -> mu``)."""
     if variant == "ellipsoid":
-        _, d = top_eigenpair(spd_inverse(state.H))
+        _, d = top_eigenpair(-state.H)
         return augment(records, d) + augment(records, -d)
     prelim = np.array([rec.a for rec in records])
     return prelim + augment(records, -sum(rec.a * rec.g for rec in records))
