@@ -260,8 +260,8 @@ class Checkpoint:
         * min-width: ``+-d`` for the min-width direction d of ``state.H``,
           its bottom unit eigenvector (the top one of ``-H``, from one
           eigendecomposition, which a collapsed metric does not break),
-          ``state`` being the state after the k records; no other pathway
-          reads an operator.
+          ``state`` being the state after the k records (``state.k == k``);
+          no other pathway reads an operator.
         """
         history = History.of(records)
         if not 1 <= k <= len(history):
@@ -270,6 +270,9 @@ class Checkpoint:
         if pathway == TERMINAL:
             return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
         if pathway == MIN_WIDTH:
+            if state is None or state.k != k:
+                raise ValueError(f"the min-width start at {k} needs the state "
+                                 f"after {k} records")
             _, d = top_eigenpair(-state.H)
             hd = state.H @ d
             return cls(k, pathway, (_column(history, k, d, hd.copy()),

@@ -215,6 +215,19 @@ class TestStandardEllipsoidCertificate:
         assert start.rho >= prob.inner_radius
         assert gap_bound is None
 
+    def test_min_width_start_needs_the_state_at_its_checkpoint(self):
+        # a later state's ellipsoid is narrower than the one after k records,
+        # so its rho would bound a gap that the first k records do not meet
+        prob = max_affine_ball(np.random.default_rng(0), 4)
+        config = StrategyConfig.for_variant("ellipsoid", 4)
+        res = run(prob, config, 400)
+        for k in (100, 200):
+            for state in (res.state, None):
+                with pytest.raises(ValueError, match="state after"):
+                    certs.Checkpoint.at(res.records, k, certs.MIN_WIDTH, state)
+            state_k = reconstruct_state(prob, res.records, k, res.state)
+            assert certs.Checkpoint.at(res.records, k, certs.MIN_WIDTH, state_k).k == k
+
     def test_collapsed_metric_certifies(self):
         # 200 ellipsoid steps collapse this metric (the eigenvalues of H are
         # -2.5e-56 and 1.4e-40): no Cholesky of H succeeds, and the
