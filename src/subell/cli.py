@@ -15,7 +15,8 @@ the previous one (``reconstruct_state``, one n x n operator at a time), for
 the direction and average radius of its ellipsoid.
 
 Exit code 2 reports a load, validation or usage error and 3 a numerical
-failure of the solver or the certificate pass, on stderr without a traceback.
+failure of the solver or the certificate pass (a float overflow included),
+on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from operator import attrgetter
 import numpy as np
 
 from . import certificates as certs
-from .linalg import PositiveDefinitenessLost
 from .oracles import ProblemFormatError, load_problem
 from .solver import (
     VARIANT_ELLIPSOID,
@@ -346,7 +346,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PositiveDefinitenessLost, SolverBreakdown, SlaterViolation,
+    # ArithmeticError covers the solver's PositiveDefinitenessLost and a
+    # float overflow of the radius recurrence
+    except (ArithmeticError, SolverBreakdown, SlaterViolation,
             DependentConstraints, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -444,6 +444,8 @@ def _problem_from_dict(d: dict) -> Problem:
     dim = int(dim)
     if R <= 0:
         raise ProblemFormatError("R must be positive")
+    if not math.isfinite(R * R):
+        raise ProblemFormatError(f"R = {R:g} is too large: R^2 is not a finite float")
     x0 = _vec(d["x0"], dim, "x0")
     feasible = _parse_set(_obj(d.get("set", {}), "set"), kind, dim)
     objective = _parse_objective(_obj(d.get("objective", {}), "objective"),

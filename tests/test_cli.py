@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib.util
 import json
@@ -16,10 +17,10 @@ from subell import certificates as certs
 from subell.cli import main
 from subell.linalg import PositiveDefinitenessLost
 from subell.oracles import problem_to_dict, save_problem
-from subell.solver import SolverBreakdown
+from subell.solver import VARIANTS, SolverBreakdown
 from subell.support import DependentConstraints, SlaterViolation
 
-from helpers import max_affine_ball, saddle_problem
+from helpers import max_affine_ball, max_affine_box, saddle_problem, vi_problem
 
 
 @pytest.fixture()
@@ -340,6 +341,96 @@ def test_saddle_preliminary_certificates_exit_0(tmp_path):
     save_problem(saddle_problem(np.random.default_rng(0), 1, 1), path)
     assert main(["certify", "--problem", str(path), "--variant", "ellipsoid-cert",
                  "--iters", "200", "--out", str(tmp_path / "s.csv")]) == 0
+
+
+def _exit_code(argv, problem):
+    """``main(argv)`` on the problem description ``problem``, written as a
+    file: its exit code, with no traceback on stderr and no exception."""
+    try:
+        rc = main(argv)
+    except Exception as exc:  # the command must end in an exit code instead
+        pytest.fail(f"{argv[0]} raised {exc!r} on {json.dumps(problem)}")
+    return rc
+
+
+@pytest.mark.parametrize("R,codes", [(1e155, {2}), (1e150, {0, 3})],
+                         ids=["R-square-overflows", "R-huge"])
+def test_huge_radius_exits_without_a_traceback(tmp_path, capsys, R, codes):
+    # 1e155 squared overflows and is rejected at load; at 1e150 the ellipsoid
+    # run overflows in its radius recurrence and ends as a numerical failure
+    d = problem_to_dict(max_affine_box(np.random.default_rng(0), 3))
+    d["R"] = R
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    for variant in VARIANTS:
+        for command in ("solve", "certify"):
+            rc = _exit_code([command, "--problem", str(path), "--iters", "60",
+                             "--variant", variant], d)
+            err = capsys.readouterr().err
+            assert rc in codes and "Traceback" not in err, (variant, command, err)
+            if R == 1e155:
+                assert "R^2" in err
+
+
+# what a mutated leaf becomes, DELETE removing it
+FUZZ_VALUES = (None, True, False, "0.5", 1e308, -1e308, 1e-320, NAN, INF, -INF,
+               [], {}, DELETE)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+def _mutant(d, rng):
+    """A copy of the description ``d`` with one to three leaves replaced by
+    a value of ``FUZZ_VALUES``; a path that an earlier replacement removed
+    is left alone."""
+    d = copy.deepcopy(d)
+    paths = _leaf_paths(d)
+    for i in rng.choice(len(paths), size=min(len(paths), rng.integers(1, 4)),
+                        replace=False):
+        *head, last = paths[i]
+        value = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        node = d
+        try:
+            for key in head:
+                node = node[key]
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return d
+
+
+def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
+    """Seeded fuzz of the problem file: mutants of the descriptions of all
+    four problem kinds either run (exit 0), are rejected at load (exit 2)
+    or fail numerically (exit 3), and none ends in a traceback."""
+    from test_solver import _quadratic_ball
+
+    families = (lambda rng: max_affine_ball(rng, 2), lambda rng: max_affine_box(rng, 3),
+                lambda rng: _quadratic_ball(rng, 2), lambda rng: saddle_problem(rng, 1, 1),
+                lambda rng: vi_problem(rng, 3))
+    bases = [problem_to_dict(make(np.random.default_rng(seed)))
+             for seed in range(3) for make in families]
+    rng = np.random.default_rng(2028)
+    path = tmp_path / "mutant.json"
+    for i in range(500):
+        d = _mutant(bases[i % len(bases)], rng)
+        path.write_text(json.dumps(d), encoding="utf-8")
+        for command in ("solve", "certify"):
+            rc = _exit_code([command, "--problem", str(path), "--iters", "20",
+                             "--variant", VARIANTS[i % len(VARIANTS)]], d)
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3) and "Traceback" not in err, (command, d, err)
 
 
 ROOT = Path(__file__).resolve().parents[1]
