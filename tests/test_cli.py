@@ -20,7 +20,8 @@ from subell.oracles import problem_to_dict, save_problem
 from subell.solver import VARIANTS, SolverBreakdown
 from subell.support import DependentConstraints, SlaterViolation
 
-from helpers import max_affine_ball, max_affine_box, saddle_problem, vi_problem
+from helpers import max_affine_ball, max_affine_box, saddle_problem
+from test_solver import FAMILIES
 
 
 @pytest.fixture()
@@ -414,13 +415,8 @@ def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
     """Seeded fuzz of the problem file: mutants of the descriptions of all
     four problem kinds either run (exit 0), are rejected at load (exit 2)
     or fail numerically (exit 3), and none ends in a traceback."""
-    from test_solver import _quadratic_ball
-
-    families = (lambda rng: max_affine_ball(rng, 2), lambda rng: max_affine_box(rng, 3),
-                lambda rng: _quadratic_ball(rng, 2), lambda rng: saddle_problem(rng, 1, 1),
-                lambda rng: vi_problem(rng, 3))
     bases = [problem_to_dict(make(np.random.default_rng(seed)))
-             for seed in range(3) for make in families]
+             for seed in range(3) for make in FAMILIES.values()]
     rng = np.random.default_rng(2028)
     path = tmp_path / "mutant.json"
     for i in range(500):
