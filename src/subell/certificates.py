@@ -16,7 +16,8 @@ once per record.  The sweep never forms an operator: it carries ``H_i s``
 backward through the recorded rank-one updates in O(n) per record and
 column.  A column starts from ``H_{k-1} s`` at its checkpoint, which the
 records give without any operator on the preliminary and terminal
-pathways (``Checkpoint.at``); only the min-width direction needs ``H_k``.
+pathways (``Checkpoint.at``); only the min-width direction needs ``H_k``,
+whose bottom eigenvector it is, from one eigendecomposition.
 
 ``certify_run`` is the one route from checkpoints to certificates, each
 with its gap, residual and min-width bound.
