@@ -37,7 +37,6 @@ from .solver import (
     VARIANT_ELLIPSOID,
     VARIANTS,
     Schedule,
-    SolverBreakdown,
     StrategyConfig,
     delta_from_target,
     reconstruct_state,
@@ -346,10 +345,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ArithmeticError covers the solver's PositiveDefinitenessLost and a
-    # float overflow of the radius recurrence
-    except (ArithmeticError, SolverBreakdown, SlaterViolation,
-            DependentConstraints, np.linalg.LinAlgError) as exc:
+    # ArithmeticError covers PositiveDefinitenessLost and a float overflow
+    except (ArithmeticError, SlaterViolation, DependentConstraints,
+            np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ProblemFormatError, FileNotFoundError, OSError, ValueError) as exc:

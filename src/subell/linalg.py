@@ -3,11 +3,12 @@
 Coordinates are fixed so that the reference inner product is the plain dot
 product; every operator in this package is then just a dense symmetric
 ``numpy`` array.  This module provides the few primitives the solver and
-the certificates need: a square root guarded against round-off
-(``nonneg_sqrt``), the dual norm given the inverse operator (``dual_norm``),
-the SPD inverse and symmetrization, and the top eigenpair of a symmetric
-matrix, which the min-width certificate takes of ``-H``.  The rank-one update of the inverse metric lives with
-the step that makes it (``solver``).
+the certificates need: the one round-off rule (``nonneg``, with
+``nonneg_sqrt`` its square root), the dual norm given the inverse operator
+(``dual_norm``), the SPD inverse and symmetrization, and the top eigenpair
+of a symmetric matrix, which the min-width certificate takes of ``-H``.
+The rank-one update of the inverse metric lives with the step that makes
+it (``solver``).
 """
 
 from __future__ import annotations
@@ -28,19 +29,23 @@ def symmetrize(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def nonneg_sqrt(value: float, scale: float = 1.0, context: str = "") -> float:
-    """sqrt with a round-off guard.
+def nonneg(value: float, scale: float = 1.0, context: str = "") -> float:
+    """``value`` if it is a nonnegative finite number: the package's one
+    round-off rule.  Values in ``[-1e-12 * max(1, scale), 0)`` clamp to zero;
+    a more negative, NaN or infinite value raises ``PositiveDefinitenessLost``
+    with ``context`` at the end of its message."""
+    if 0.0 <= value < math.inf:
+        return value
+    if math.isfinite(value) and value >= -1e-12 * max(1.0, scale):
+        return 0.0
+    kind = "negative" if math.isfinite(value) else "non-finite"
+    raise PositiveDefinitenessLost(
+        f"{kind} value {value:g} (scale {scale:g}) {context}".rstrip())
 
-    Values in ``[-1e-12 * max(1, scale), 0)`` are clamped to zero; anything
-    more negative signals a genuine loss of positive definiteness and raises.
-    """
-    if value < 0.0:
-        if value >= -1e-12 * max(1.0, scale):
-            return 0.0
-        raise PositiveDefinitenessLost(
-            f"negative radicand {value:g} (scale {scale:g}) {context}".rstrip()
-        )
-    return math.sqrt(value)
+
+def nonneg_sqrt(value: float, scale: float = 1.0, context: str = "") -> float:
+    """``sqrt(nonneg(value, scale, context))``; ``nonneg`` runs off range only."""
+    return math.sqrt(value if 0.0 <= value < math.inf else nonneg(value, scale, context))
 
 
 def dual_norm(H: np.ndarray, s: np.ndarray) -> float:

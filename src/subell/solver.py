@@ -28,7 +28,9 @@ them, in blocks stacked once when full.  Step 4 is stated once, in
 ``_advance``: ``step`` applies it to its own products and
 ``reconstruct_state`` to the stacked rows, and ``HistoryRecord.H`` replays
 its rank-one part (``_rank_one_update``) over the same rows, so a replayed
-state or operator equals the run's own bit for bit.
+state or operator equals the run's own bit for bit.  A ``D_k`` or sliding-gap
+``<c, Hc>`` outside ``[0, inf)`` goes through ``linalg.nonneg``, and a
+nonterminal step with ``g.Hg <= 0`` raises ``PositiveDefinitenessLost``.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .linalg import nonneg_sqrt
+from .linalg import PositiveDefinitenessLost, nonneg, nonneg_sqrt
 from .oracles import OracleResponse, Problem
-from .support import _xi_gram
+from .support import _cut_norm, _xi_gram
 
 VARIANT_SUBGRADIENT = "subgradient"
 VARIANT_ELLIPSOID = "ellipsoid"
@@ -59,10 +61,6 @@ VARIANTS = (
 
 THETA_ELLIPSOID_CERT = math.sqrt(2.0) - 1.0
 THETA_SUBGRAD_ELLIPSOID = 2.0 ** (1.0 / 3.0) - 1.0
-
-
-class SolverBreakdown(RuntimeError):
-    """Numerical invariant violated beyond round-off tolerance."""
 
 
 def gamma_opt(c: float, p: float) -> float:
@@ -432,12 +430,8 @@ def _localizer(state: SolverState) -> tuple[np.ndarray, float, float, float]:
     z = state.x + hc
     cHc = float(c @ hc)
     D = state.Rsq - 2.0 * (state.sigma - float(c @ state.x)) + cHc
-    if D < 0.0:
-        if D < -1e-12 * max(1.0, state.Rsq):
-            raise SolverBreakdown(
-                f"localizer radius went negative (D = {D:g} at k = {state.k})"
-            )
-        D = 0.0
+    if not 0.0 <= D < math.inf:
+        D = nonneg(D, state.Rsq, f"in the localizer radius D at k = {state.k}")
     return z, D, cHc, float(c @ z)
 
 
@@ -453,8 +447,9 @@ def _u_from_grams(state, g, hg, gHg, z, D, cHc, cz) -> float:
     lead = float(g @ (state.x - z))
     if D == 0.0:
         return lead
-    cHg = float(state.c @ hg)
-    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, state.sigma - cz)
+    aHa, beta = D * cHc, state.sigma - cz
+    return lead + _xi_gram(D * gHg, -D * float(state.c @ hg), aHa,
+                           _cut_norm(aHa, beta), beta)
 
 
 def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
@@ -517,7 +512,7 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     arrays, which nothing writes to, and ``state`` is left untouched.  On a
     terminal iteration (U_k <= delta |g_k|, which a zero oracle vector
     always meets) the weights are zero and the state is returned unchanged;
-    otherwise the new state is ``_advance`` of the record's fields.
+    otherwise the new state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
     """
     g = response.g.astype(float)
     z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
@@ -531,6 +526,9 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     terminal = U <= config.delta_term * gnorm
     if terminal:
         a = b = 0.0
+    elif not t > 0.0:
+        raise PositiveDefinitenessLost(
+            f"the metric collapsed: g.Hg = {t:g} at k = {state.k}")
     else:
         a = (config.alpha(state.k) * state.R0
              + 0.5 * config.theta * config.gamma * math.sqrt(state.Rsq)) / math.sqrt(t)
@@ -555,7 +553,7 @@ def sliding_gap(state: SolverState, *, localizer=None) -> float:
     _, D, cHc, cz = localizer if localizer is not None else _localizer(state)
     # the guard's scale matters only when round-off made <c, Hc> negative
     cn = math.sqrt(cHc) if cHc >= 0.0 else nonneg_sqrt(
-        cHc, max(1.0, float(state.c @ state.c)))
+        cHc, float(state.c @ state.c), "in the sliding gap")
     return (state.sigma - cz + math.sqrt(D) * cn) / state.Gamma
 
 

@@ -8,9 +8,10 @@ exact solution of the two-cut dual problem
 
 (``dual_multipliers``).  These are the only subproblems the solver and the
 certificate backward pass need.  Both public functions form the Gram scalars
-``s.Hs, a_i.Hs, a_i.Ha_j`` and call one private Gram-form core, which solves
-the single-cut multiplier (``_tau_gram``) and the unconstrained stationary
-point behind it (``_stationary``) in closed form.  A single cut's multiplier
+``s.Hs, a_i.Hs, a_i.Ha_j`` and call one private Gram-form core: each cut
+is checked and normed once (``_cut_norm``), and its readers, the
+single-cut multiplier (``_single_cut``), the support value (``_xi_gram``)
+and the stationary point (``_stationary``), are closed forms.  A single cut's multiplier
 is the first component of ``dual_multipliers`` against a vacuous second cut
 (zero normal, zero offset).
 
@@ -29,7 +30,8 @@ vectors it compares: a sign test of ``a`` against ``s`` allows
 ``SLATER_TOL |a|* |s|*``, an offset or redundancy test on cut ``a`` allows
 ``SLATER_TOL |a|*``, two cuts are dependent when
 ``det(A^T H A) <= 1e-14 (a1.Ha1)(a2.Ha2)``, round-off clamps of square roots
-scale with the largest Gram term, and the quadrant check with ``max|mu_i|``.
+(``linalg.nonneg_sqrt``) scale with the largest Gram term, and the quadrant
+check with ``max|mu_i|``.
 Power-of-two scalings thus keep every branch and scale the multipliers
 exactly.  Ties resolve toward the sparser multiplier pair (either branch is
 optimal at exact equality); two parallel cuts never reach the two-multiplier
@@ -123,14 +125,10 @@ def _single_cut(sHs: float, aHs: float, aHa: float, nrm_a: float, beta: float) -
     return _stationary(sHs, aHs, 0.0, aHa, 1.0, 0.0, beta, 0.0)[0]
 
 
-def _tau_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
-    """Single-cut multiplier from the Gram values of (s, a) under H."""
-    return _single_cut(sHs, aHs, aHa, _cut_norm(aHa, beta), beta)
-
-
-def _xi_gram(sHs: float, aHs: float, aHa: float, beta: float) -> float:
-    """Support value from Gram data: dual objective evaluated at tau."""
-    t = _tau_gram(sHs, aHs, aHa, beta)
+def _xi_gram(sHs: float, aHs: float, aHa: float, nrm_a: float, beta: float) -> float:
+    """Support value, the dual objective at the single-cut multiplier, from
+    the Gram values of (s, a) under H and ``nrm_a`` of ``_cut_norm``."""
+    t = _single_cut(sHs, aHs, aHa, nrm_a, beta)
     rad = sHs - 2.0 * t * aHs + t * t * aHa
     return nonneg_sqrt(rad, max(sHs, t * t * aHa), "in xi") + t * beta
 
@@ -145,9 +143,9 @@ def _cut_pair(a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple:
     nrm_a1 = _cut_norm(a1Ha1, b1)
     nrm_a2 = _cut_norm(a2Ha2, b2)
     left = 0
-    if _xi_gram(a2Ha2, a1Ha2, a1Ha1, b1) <= b2 + SLATER_TOL * nrm_a2:
+    if _xi_gram(a2Ha2, a1Ha2, a1Ha1, nrm_a1, b1) <= b2 + SLATER_TOL * nrm_a2:
         left = 1  # max <a2, x> subject to cut 1 meets cut 2
-    elif _xi_gram(a1Ha1, a1Ha2, a2Ha2, b2) <= b1 + SLATER_TOL * nrm_a1:
+    elif _xi_gram(a1Ha1, a1Ha2, a2Ha2, nrm_a2, b2) <= b1 + SLATER_TOL * nrm_a1:
         left = 2  # max <a1, x> subject to cut 2 meets cut 1
     return a1Ha1, a2Ha2, a1Ha2, b1, b2, nrm_a1, nrm_a2, left
 
@@ -161,14 +159,14 @@ def _direction_pair(sHs, a1Hs, a2Hs, pair) -> tuple[float, float]:
         return _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1), 0.0
     if left == 2:
         return 0.0, _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
-    tau1 = _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1)
-    tau2 = _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
 
     # single-cut optimizer feasible for the other cut
+    tau1 = _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1)
     r1 = sHs - 2.0 * tau1 * a1Hs + tau1 * tau1 * a1Ha1
     n1 = nonneg_sqrt(r1, max(sHs, tau1 * tau1 * a1Ha1))  # |s - tau1 a1|*
     if a2Hs - tau1 * a1Ha2 <= b2 * n1 + SLATER_TOL * nrm_a2 * n1:
         return tau1, 0.0
+    tau2 = _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
     r2 = sHs - 2.0 * tau2 * a2Hs + tau2 * tau2 * a2Ha2
     n2 = nonneg_sqrt(r2, max(sHs, tau2 * tau2 * a2Ha2))  # |s - tau2 a2|*
     if a1Hs - tau2 * a1Ha2 <= b1 * n2 + SLATER_TOL * nrm_a1 * n2:
@@ -188,9 +186,9 @@ def support_value_xi(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
     Computed as the dual value ``|s - tau a|*_H + tau b`` at the optimal
     single-cut multiplier; strong duality holds under the Slater condition.
     """
-    Hs = H @ s
-    a = cut.normal
-    return _xi_gram(float(s @ Hs), float(a @ Hs), float(a @ (H @ a)), cut.offset)
+    a, beta = cut.normal, cut.offset
+    Hs, aHa = H @ s, float(a @ (H @ a))
+    return _xi_gram(float(s @ Hs), float(a @ Hs), aHa, _cut_norm(aHa, beta), beta)
 
 
 def dual_multipliers(H: np.ndarray, s: np.ndarray, cut1: HalfspaceCut,

@@ -17,10 +17,10 @@ from subell import certificates as certs
 from subell.cli import main
 from subell.linalg import PositiveDefinitenessLost
 from subell.oracles import problem_to_dict, save_problem
-from subell.solver import VARIANTS, SolverBreakdown
+from subell.solver import VARIANTS
 from subell.support import DependentConstraints, SlaterViolation
 
-from helpers import max_affine_ball, max_affine_box, saddle_problem
+from helpers import max_affine_ball, max_affine_box, saddle_problem, vi_problem
 from test_solver import FAMILIES
 
 
@@ -266,7 +266,6 @@ def test_unknown_variant_in_compare_fails_cleanly(problem_path, capsys):
 
 @pytest.mark.parametrize("exc", [
     PositiveDefinitenessLost("negative radicand"),
-    SolverBreakdown("localizer radius went negative"),
     SlaterViolation("cut leaves no interior"),
     DependentConstraints("A^T H A is numerically singular"),
     np.linalg.LinAlgError("Matrix is not positive definite"),
@@ -371,6 +370,34 @@ def test_huge_radius_exits_without_a_traceback(tmp_path, capsys, R, codes):
             assert rc in codes and "Traceback" not in err, (variant, command, err)
             if R == 1e155:
                 assert "R^2" in err
+
+
+def test_overflowing_radius_recurrence_exits_3(tmp_path, capsys):
+    # R^2 = 1e300 is finite, but the ellipsoid's radius recurrence overflows
+    # within two steps; the run must not go on and report NaN
+    d = problem_to_dict(max_affine_ball(np.random.default_rng(0), 2))
+    d["R"] = 1e150
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    rc = _exit_code(["solve", "--problem", str(path), "--iters", "50",
+                     "--variant", "ellipsoid", "--out", str(tmp_path / "t.csv")], d)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: numerical failure: non-finite value ")
+    assert "Traceback" not in err
+
+
+def test_collapsed_metric_exits_3(tmp_path, capsys):
+    # g.Hg = -2.1e-33 at k = 480 on a step whose U is positive
+    d = problem_to_dict(vi_problem(np.random.default_rng(2), 3))
+    path = tmp_path / "vi.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    rc = _exit_code(["solve", "--problem", str(path), "--variant", "subgrad-ellipsoid",
+                     "--iters", "600", "--out", str(tmp_path / "t.csv")], d)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error: numerical failure: the metric collapsed: g.Hg = ")
+    assert "at k = 480" in err and "Traceback" not in err
 
 
 # what a mutated leaf becomes, DELETE removing it

@@ -4,6 +4,8 @@ import pytest
 from subell.linalg import (
     PositiveDefinitenessLost,
     dual_norm,
+    nonneg,
+    nonneg_sqrt,
     spd_inverse,
     symmetrize,
     top_eigenpair,
@@ -52,6 +54,39 @@ def test_dual_norm_rejects_indefinite_form():
     H = np.diag([1.0, -1.0])
     with pytest.raises(PositiveDefinitenessLost):
         dual_norm(H, np.array([0.0, 1.0]))
+
+
+def test_nonneg_returns_a_nonnegative_finite_value():
+    for value in (0.0, -0.0, 5e-324, 1.5, 1e308):
+        assert nonneg(value, 7.0, "ctx") == value
+    assert nonneg_sqrt(2.25) == 1.5
+
+
+@pytest.mark.parametrize("value,scale", [(-1e-12, 0.0), (-1e-12, 1.0), (-3e-10, 300.0),
+                                         (-1e-300, 1e-9)])
+def test_nonneg_clamps_round_off_to_zero(value, scale):
+    # the tolerance is 1e-12 max(1, scale)
+    assert nonneg(value, scale) == 0.0
+    assert nonneg_sqrt(value, scale) == 0.0
+
+
+@pytest.mark.parametrize("value,scale", [(-1.01e-12, 0.0), (-1.01e-12, 1.0),
+                                         (-3.1e-10, 300.0), (-1.0, 1e11)])
+def test_nonneg_raises_beyond_round_off(value, scale):
+    with pytest.raises(PositiveDefinitenessLost,
+                       match=r"^negative value .* \(scale .*\) in the test$"):
+        nonneg(value, scale, "in the test")
+    with pytest.raises(PositiveDefinitenessLost, match="negative value"):
+        nonneg_sqrt(value, scale)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("scale", [1.0, float("inf")])
+def test_nonneg_raises_on_a_non_finite_value(value, scale):
+    with pytest.raises(PositiveDefinitenessLost, match="^non-finite value .* in the test$"):
+        nonneg(value, scale, "in the test")
+    with pytest.raises(PositiveDefinitenessLost, match="non-finite value"):
+        nonneg_sqrt(value, scale)
 
 
 def test_rank_one_update_noop_for_zero_weight():

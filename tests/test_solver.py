@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subell import certificates as certs
-from subell.linalg import dual_norm, nonneg_sqrt
+from subell.linalg import PositiveDefinitenessLost, dual_norm, nonneg_sqrt
 from subell.oracles import Ball, OracleResponse, problem_from_dict
 from subell.solver import (
     BLOCK_ROWS,
@@ -30,7 +30,7 @@ from subell.solver import (
     sliding_gap,
     step,
 )
-from subell.support import _xi_gram
+from subell.support import _cut_norm, _xi_gram
 
 from helpers import (
     classical_ellipsoid,
@@ -258,6 +258,36 @@ class TestStep:
         assert last.U <= 0.25 * np.linalg.norm(last.g) + 1e-12
         assert last.a == 0.0 and last.b == 0.0
         assert res.state.k == len(res.records) - 1  # no update on the terminal step
+
+    @staticmethod
+    def _collapsed_step(delta_term):
+        """A step at g = e2 with g.Hg = 0 and U = 0.1 > 0: the metric is
+        singular along g, and the cross term of H moves the localizer center
+        off x along g."""
+        state = SolverState(k=5, x=np.zeros(2), H=np.array([[1.0, 0.1], [0.1, 0.0]]),
+                            Rsq=1.0, c=np.array([-1.0, 0.0]), sigma=0.0, Gamma=1.0,
+                            R0=1.0)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 2, delta_term=delta_term)
+        return state, step(state, OracleResponse(np.array([0.0, 1.0]), True), config)
+
+    def test_collapsed_metric_raises_on_a_nonterminal_step(self):
+        with pytest.raises(PositiveDefinitenessLost,
+                           match=r"^the metric collapsed: g\.Hg = 0 at k = 5$"):
+            self._collapsed_step(0.0)
+
+    def test_collapsed_metric_on_a_terminal_step_stays_terminal(self):
+        state, (new_state, rec, terminal) = self._collapsed_step(0.5)
+        assert terminal and new_state is state
+        assert rec.U == pytest.approx(0.1, rel=1e-15) and rec.gHg == 0.0
+        assert rec.a == rec.b == 0.0
+
+    def test_negative_localizer_radius_raises_with_its_step(self):
+        # D = -3.24 at k = 447, far beyond round-off
+        prob = vi_problem(np.random.default_rng(0), 3)
+        with pytest.raises(PositiveDefinitenessLost,
+                           match=r"^negative value -3\.2\d* \(scale .*\) in the "
+                                 r"localizer radius D at k = 447$"):
+            run(prob, StrategyConfig.for_variant("ellipsoid-cert", 3), 600)
 
 
 class TestSlidingGap:
@@ -820,7 +850,7 @@ def _reference_u(state, g, hg, hc, z, D):
     cHg = float(state.c @ hg)
     cHc = float(state.c @ hc)
     beta = state.sigma - float(state.c @ z)
-    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, beta)
+    return lead + _xi_gram(D * gHg, -D * cHg, D * cHc, _cut_norm(D * cHc, beta), beta)
 
 
 def _reference_advance(state, rec):
