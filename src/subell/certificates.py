@@ -24,7 +24,8 @@ with its gap, residual and min-width bound.
 
 Every reader here takes the records through ``History.of`` (a run's
 ``History`` as it is, a plain list from step 0 stacked once) and reads the
-stacked arrays, the ``g.Hg`` that each step recorded included.
+stacked arrays; the sweep reads ``g.Hg`` and the localizer's cuts as the
+steps recorded them.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ import numpy as np
 
 # ``spd_inverse`` is not called here any more; the benchmark's tracer looks
 # it up in this module
-from .linalg import spd_inverse, top_eigenpair  # noqa: F401
+from .linalg import PositiveDefinitenessLost, spd_inverse, top_eigenpair  # noqa: F401
 from .oracles import Problem
 from .solver import History, HistoryRecord, SolverState, avg_radius
 # ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
 # tracer looks it up in this module
-from .support import _cut_pair, _direction_pair, dual_multipliers  # noqa: F401
+from .support import (  # noqa: F401
+    DependentConstraints, SlaterViolation, _cut_pair, _direction_pair, dual_multipliers)
 
 PRELIMINARY, TERMINAL, MIN_WIDTH = "preliminary", "terminal", "min-width"
 
@@ -141,9 +143,10 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
     The live columns are the rows of two blocks, ``S`` and ``V = H_i S``;
     column j joins at record ``k_j - 1``.  Per record, the cut-only half of
     the two-cut kernel runs once, the Gram scalars of the live columns come
-    from three block products, and the direction half runs per column.  The
-    multipliers fold in as ``S -= mu g^T`` and ``V -= mu (Hg)^T``, and the
-    rank-one step back is ``V += beta Hg (Hg^T S)``.
+    from three block products, and the direction half runs per column; a
+    numerical failure in either says its record.  The multipliers fold in
+    as ``S -= mu g^T`` and ``V -= mu (Hg)^T``, and the rank-one step back is
+    ``V += beta Hg (Hg^T S)``.
 
     Each column carries ``M = |s_k| + sum(mu_i |g_i|)``, the magnitude of
     the terms its direction sums; once ``|s| <= CANCELLED M`` the direction
@@ -161,12 +164,13 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
     V = np.array([columns[j][2] for j in order], dtype=float)
     mags = np.sqrt((S * S).sum(axis=1))
     mus = np.zeros((len(columns), K))
-    X, G, HG, Z, C = (history.array(name) for name in ("x", "g", "Hg", "z", "c"))
-    B, Ds, sigmas, gnorms, gHgs = (history.array(name).tolist()
-                                   for name in ("b", "D", "sigma", "gnorm", "gHg"))
+    G, HG, C = (history.array(name) for name in ("g", "Hg", "c"))
+    B, Ds, sigmas, gnorms, gHgs, cHcs, czs, cHgs, gxzs = (
+        history.array(name).tolist()
+        for name in ("b", "D", "sigma", "gnorm", "gHg", "cHc", "cz", "cHg", "gxz"))
     live = 0
     for i in range(K - 1, -1, -1):
-        g, hg, b, D, gHg = G[i], HG[i], B[i], Ds[i], gHgs[i]
+        g, hg, c, b, D, gHg = G[i], HG[i], C[i], B[i], Ds[i], gHgs[i]
         if live and b != 0.0:  # H_{i+1} S -> H_i S
             Vt = V[:live]
             Vt += (b / (1.0 + b * gHg) * S[:live].dot(hg))[:, None] * hg
@@ -175,12 +179,13 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
         if not live:
             continue
         St, Vt = S[:live], V[:live]
-        c, z = C[i], Z[i]
-        zx = z - X[i]
-        pair = _cut_pair(D * float(c.dot(zx)), D * gHg, D * float(c.dot(hg)),
-                         sigmas[i] - float(c.dot(z)), -float(g.dot(zx)))
-        mu = [_direction_pair(D * sv, D * vc, D * vg, pair)[1] for sv, vc, vg in zip(
-            (St * Vt).sum(axis=1).tolist(), Vt.dot(c).tolist(), Vt.dot(g).tolist())]
+        try:
+            pair = _cut_pair(D * cHcs[i], D * gHg, D * cHgs[i], sigmas[i] - czs[i],
+                             gxzs[i])
+            mu = [_direction_pair(D * sv, D * vc, D * vg, pair)[1] for sv, vc, vg in zip(
+                (St * Vt).sum(axis=1).tolist(), Vt.dot(c).tolist(), Vt.dot(g).tolist())]
+        except (PositiveDefinitenessLost, SlaterViolation, DependentConstraints) as exc:
+            raise type(exc)(f"{exc} in the sweep at record {i}") from exc
         if not any(mu):
             continue
         mu = np.array(mu)
@@ -208,11 +213,11 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     as the first cut and the subgradient cut as the second, keeping the
     second multiplier) and replacing ``s_i = s_{i+1} - mu_i g_i``.
 
-    The multiplier routine needs only ``H_i s``, ``H_i c_i = z_i - x_i`` and
-    ``H_i g_i`` (recorded).  For one direction ``s_final``, ``v = H_i s``
-    starts from ``final_operator`` (the operator after the last record)
-    stepped back one record, or else from the last record's replayed
-    operator ``history[-1].H``; returns ``(mu, s_0)``.  The weights mu
+    The multiplier routine needs only ``H_i s`` and what step i recorded.
+    For one direction ``s_final``, ``v = H_i s`` starts from
+    ``final_operator`` (the operator after the last record) stepped back one
+    record, or else from the last record's replayed operator
+    ``history[-1].H``; returns ``(mu, s_0)``.  The weights mu
     satisfy: the support of the augmented model over the initial ball never
     exceeds the support of ``s_k`` over the final localizer.
 
@@ -239,12 +244,13 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
 @dataclass(frozen=True)
 class Checkpoint:
     """Where one certificate starts in the sweep: the first ``k`` records,
-    its pathway, the sweep columns it owns and, for the min-width pathway,
-    rho, twice the average radius after those records."""
+    its pathway, its sweep columns, the ``base`` weights they add to and, for
+    the min-width pathway, rho, twice the average radius after them."""
 
     k: int
     pathway: str
     columns: tuple
+    base: np.ndarray
     rho: Optional[float] = None
 
     @classmethod
@@ -254,22 +260,23 @@ class Checkpoint:
 
         * preliminary: ``s = -c_k``.  Record k-1 gives ``H_{k-1} s``: with
           ``c_k = c_{k-1} + a g`` and ``H_{k-1} c_{k-1} = z - x``, it is
-          ``-(z - x) - a Hg`` of that record;
+          ``-(z - x) - a Hg`` of that record, and base ``a``;
         * terminal (``k = len(records)``, the last record terminal):
-          ``s = -g_{k-1}`` over the records before it, with
+          ``s = -g_{k-1}`` over the records before it and base ``e_{k-1}``, with
           ``H_{k-1} s = -records[k-1].Hg``; its gap is at most the threshold;
         * min-width: ``+-d`` for the min-width direction d of ``state.H``,
           its bottom unit eigenvector (the top one of ``-H``, from one
           eigendecomposition, which a collapsed metric does not break),
-          ``state`` being the state after the k records (``state.k == k``);
-          no other pathway reads an operator.
+          ``state`` being the state after the k records (``state.k == k``),
+          and zero base; no other pathway reads an operator.
         """
         history = History.of(records)
         if not 1 <= k <= len(history):
             raise ValueError(f"cannot certify {k} of {len(history)} records")
         last = history[k - 1]
         if pathway == TERMINAL:
-            return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),))
+            return cls(k, pathway, (_column(history, k - 1, -last.g, -last.Hg),),
+                       np.append(np.zeros(k - 1), 1.0))
         if pathway == MIN_WIDTH:
             if state is None or state.k != k:
                 raise ValueError(f"the min-width start at {k} needs the state "
@@ -278,40 +285,31 @@ class Checkpoint:
             hd = state.H @ d
             return cls(k, pathway, (_column(history, k, d, hd.copy()),
                                     _column(history, k, -d, -hd)),
-                       2.0 * avg_radius(state))
+                       np.zeros(k), 2.0 * avg_radius(state))
         if pathway != PRELIMINARY:
             raise ValueError(f"unknown certificate pathway {pathway!r}")
-        if not np.any(history.array("a")[:k] > 0.0):
+        a = history.array("a")[:k]
+        if not np.any(a > 0.0):
             raise ValueError(
                 "no preliminary weights accumulated; use the min-width certificate"
             )
         s = -(last.c + last.a * last.g)  # c_k, as the step that made it sums it
-        return cls(k, pathway, ((k, s, (last.x - last.z) - last.a * last.Hg),))
+        return cls(k, pathway, ((k, s, (last.x - last.z) - last.a * last.Hg),), a)
 
 
 def _certify_checkpoints(history: History,
                          checkpoints: Sequence[Checkpoint]) -> list[Semicertificate]:
     """The certificates of several prefixes of one run from a single
-    backward sweep: one ``Semicertificate`` per checkpoint.
-
-    The weights are the step weights plus the multipliers (preliminary),
-    the multipliers with unit weight on the terminal step (terminal), or
-    the sum of the two directions' multipliers (min-width).
+    backward sweep: one ``Semicertificate`` per checkpoint, whose weights
+    are the checkpoint's ``base`` plus the sum of its columns' multipliers.
     """
     columns = [col for cp in checkpoints for col in cp.columns]
-    top = max(k for k, _, _ in columns)
-    mus, _ = augment(history[:top], columns=columns)
+    mus, _ = augment(history[:max(cp.k for cp in checkpoints)], columns=columns)
     out, row = [], 0
     for cp in checkpoints:
         mu, head = mus[row:row + len(cp.columns), :cp.k], history[:cp.k]
         row += len(cp.columns)
-        if cp.pathway == TERMINAL:
-            weights = np.append(mu[0, :cp.k - 1], 1.0)
-        elif cp.pathway == MIN_WIDTH:
-            weights = mu[0] + mu[1]
-        else:
-            weights = head.array("a") + mu[0]
-        out.append(Semicertificate.from_weights(weights, head))
+        out.append(Semicertificate.from_weights(cp.base + mu.sum(axis=0), head))
     return out
 
 

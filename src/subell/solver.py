@@ -23,9 +23,9 @@ Everything per iteration costs O(n^2): two matrix-vector products plus a
 rank-one update.  The per-step history recorded here is exactly what the
 certificate backward pass (module ``certificates``) needs; it holds O(n)
 numbers per step and no operator.  A run keeps it stacked, as a
-``History``: four n-wide rows and eight scalars per step, ``g.Hg`` among
-them, in blocks stacked once when full.  Step 4 is stated once, in
-``_advance``: ``step`` applies it to its own products and
+``History``: four n-wide rows and twelve scalars per step, the products
+of ``U_k`` among them, in blocks stacked once when full.  Step 4 is stated
+once, in ``_advance``: ``step`` applies it to its own products and
 ``reconstruct_state`` to the stacked rows, and ``HistoryRecord.H`` replays
 its rank-one part (``_rank_one_update``) over the same rows, so a replayed
 state or operator equals the run's own bit for bit.  A ``D_k`` or sliding-gap
@@ -46,7 +46,7 @@ import numpy as np
 
 from .linalg import PositiveDefinitenessLost, nonneg, nonneg_sqrt
 from .oracles import OracleResponse, Problem
-from .support import _cut_norm, _xi_gram
+from .support import DependentConstraints, SlaterViolation, _cut_norm, _xi_gram
 
 VARIANT_SUBGRADIENT = "subgradient"
 VARIANT_ELLIPSOID = "ellipsoid"
@@ -187,8 +187,8 @@ class HistoryRecord:
 
     Keeps the matrix-vector product ``Hg`` instead of the operator: with it
     the backward certificate pass carries ``H_i s`` from step to step in
-    O(n), and ``_advance`` replays the update.  ``gnorm`` is ``|g|`` and
-    ``gHg`` is ``g.Hg``, as ``step`` formed them; nothing forms them again.
+    O(n), and ``_advance`` replays the update.  ``gnorm`` and the fields
+    after it are the products ``step`` formed; nothing forms them again.
     ``step`` makes one plain mutable record per step; ``run`` stacks its
     fields into the run's ``History``, and indexing that history makes a
     record again, of row views and Python scalars, which remembers where
@@ -210,6 +210,10 @@ class HistoryRecord:
     productive: bool
     gnorm: float
     gHg: float
+    cHc: float
+    cz: float
+    cHg: float
+    gxz: float
     # the rows of the history this record was read from, and its index
     # there; None for a record made by a bare ``step``
     _rows: object = field(default=None, repr=False, compare=False)
@@ -229,10 +233,11 @@ class HistoryRecord:
 # still in cache when it is stacked
 BLOCK_ROWS = 64
 _VECTORS = ("x", "g", "Hg", "z")
-_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm", "gHg")
+_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm", "gHg",
+            "cHc", "cz", "cHg", "gxz")
 # the fields of a record, in the order ``HistoryRecord`` takes them
 _FIELDS = ("x", "g", "a", "b", "Hg", "z", "D", "c", "sigma", "U", "productive",
-           "gnorm", "gHg")
+           "gnorm", "gHg", "cHc", "cz", "cHg", "gxz")
 
 
 class _Rows:
@@ -325,16 +330,16 @@ class History:
     """The recorded steps of one run, stacked.
 
     ``x``, ``g``, ``Hg`` and ``z`` are n-wide rows, and ``a``, ``b``, ``D``,
-    ``sigma``, ``U``, ``productive``, ``gnorm`` and ``gHg`` one scalar per
-    step: O(n) numbers per step.  While a run grows it, they are stacked in
-    blocks of ``BLOCK_ROWS`` steps; the first read merges the blocks.  ``c``
-    is not stored; it is the running sum of the rows ``a_i g_i``, derived
-    once on first read.  ``array(name)`` is one field over the steps as one
-    array.  ``history[k]`` is the ``HistoryRecord`` of step k, with row
-    views and Python scalars, and ``history[i:j]`` a ``History`` view of the
-    same rows.  ``History.of`` is the one way in for a reader that takes
-    records: it returns a ``History`` as it is and stacks a plain list of
-    records as a run stacks its steps.
+    ``sigma``, ``U``, ``productive`` and the six products of ``HistoryRecord``
+    one scalar per step: O(n) numbers per step.  While a run grows it, they
+    are stacked in blocks of ``BLOCK_ROWS`` steps; the first read merges the
+    blocks.  ``c`` is not stored; it is the running sum of the rows
+    ``a_i g_i``, derived once on first read.  ``array(name)`` is one field
+    over the steps as one array.  ``history[k]`` is the ``HistoryRecord`` of
+    step k, with row views and Python scalars, and ``history[i:j]`` a
+    ``History`` view of the same rows.  ``History.of`` is the one way in for
+    a reader that takes records: it returns a ``History`` as it is and
+    stacks a plain list of records as a run stacks its steps.
     """
 
     __slots__ = ("_rows", "_lo", "_hi")
@@ -440,18 +445,6 @@ def localizer_geometry(state: SolverState) -> tuple[np.ndarray, float]:
     return z, D
 
 
-def _u_from_grams(state, g, hg, gHg, z, D, cHc, cz) -> float:
-    """Support of g over the localizer, via the single-cut support function
-    with all quadratic forms scaled by D; ``gHg``, ``cHc`` and ``cz`` are
-    the step's and the localizer's own scalars."""
-    lead = float(g @ (state.x - z))
-    if D == 0.0:
-        return lead
-    aHa, beta = D * cHc, state.sigma - cz
-    return lead + _xi_gram(D * gHg, -D * float(state.c @ hg), aHa,
-                           _cut_norm(aHa, beta), beta)
-
-
 def _rank_one_update(H: np.ndarray, hg: np.ndarray, b: float,
                      denom: float) -> np.ndarray:
     """The inverse metric after one step: ``H - (b / denom) hg hg^T``.
@@ -505,20 +498,28 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     ``U_k`` is the support of ``g_k`` over the localizer, and the step
     weights are ``a_k = (alpha_k R + theta gamma R_k / 2) / |g_k|_k`` and
     ``b_k = gamma / |g_k|_k^2``; the record carries all three.  Each product
-    is formed once: ``g.Hg`` and ``|g|`` here, ``<c, Hc>`` and ``<c, z>`` in
-    the localizer.  ``localizer`` is ``_localizer(state)`` when the caller
-    already has it.  Returns ``(new_state, record, terminal)``; the record
-    is a fresh mutable dataclass that shares the state's ``x`` and ``c``
-    arrays, which nothing writes to, and ``state`` is left untouched.  On a
-    terminal iteration (U_k <= delta |g_k|, which a zero oracle vector
-    always meets) the weights are zero and the state is returned unchanged;
-    otherwise the new state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
+    is formed once, here or in the localizer, and recorded; a numerical
+    failure in ``U_k`` says "in U at k = K".  ``localizer`` is
+    ``_localizer(state)`` when the caller already has it.  Returns
+    ``(new_state, record, terminal)``; the record is a fresh mutable
+    dataclass that shares the state's ``x`` and ``c`` arrays, which nothing
+    writes to, and ``state`` is left untouched.  On a terminal iteration
+    (U_k <= delta |g_k|, which a zero oracle vector always meets) the
+    weights are zero and the state is returned unchanged; otherwise the new
+    state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
     """
     g = response.g.astype(float)
     z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
     hg = state.H @ g
     t = float(g @ hg)
-    U = _u_from_grams(state, g, hg, t, z, D, cHc, cz)
+    cHg = float(state.c @ hg)
+    U = gxz = float(g @ (state.x - z))
+    if D != 0.0:
+        aHa, beta = D * cHc, state.sigma - cz
+        try:
+            U += _xi_gram(D * t, -D * cHg, aHa, _cut_norm(aHa, beta), beta)
+        except (PositiveDefinitenessLost, SlaterViolation, DependentConstraints) as exc:
+            raise type(exc)(f"{exc} in U at k = {state.k}") from exc
     # equals np.linalg.norm(g) bit for bit: norm of a 1-D float array is
     # sqrt(g.dot(g))
     gnorm = math.sqrt(float(g @ g))
@@ -536,8 +537,8 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
 
     # nothing writes to a state's arrays or to hg once made, so the record
     # can share them
-    record = HistoryRecord(state.x, g, a, b, hg, z, D, state.c,
-                           state.sigma, U, response.productive, gnorm, t)
+    record = HistoryRecord(state.x, g, a, b, hg, z, D, state.c, state.sigma, U,
+                           response.productive, gnorm, t, cHc, cz, cHg, gxz)
     if terminal:
         return state, record, True
     return _advance(state, g, hg, a, b, U, gnorm, t), record, False

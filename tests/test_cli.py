@@ -384,6 +384,8 @@ def test_overflowing_radius_recurrence_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err.startswith("error: numerical failure: non-finite value ")
+    # D.g.Hg overflows while U_1 is formed, and the message names that step
+    assert "in U at k = 1" in err
     assert "Traceback" not in err
 
 
@@ -498,6 +500,26 @@ def _assert_every_layer_metric(metrics):
     want = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}
     assert set(metrics) == want
     assert all(math.isfinite(v) for v in metrics.values())
+
+
+@pytest.mark.parametrize("variant", ["ellipsoid", "ellipsoid-cert", "subgrad-ellipsoid"])
+def test_certify_census_fails_only_numerically_and_says_where(tmp_path, capsys,
+                                                              variant):
+    # 40 small VIs, each certified or ended as a numerical failure that names
+    # the step or the backward-sweep record where it happened; how many fail
+    # is not pinned, since a floor stop in the solver should lower it
+    for seed in range(40):
+        d = problem_to_dict(vi_problem(np.random.default_rng(seed), 3))
+        path = tmp_path / "vi.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        rc = _exit_code(["certify", "--problem", str(path), "--variant", variant,
+                         "--iters", "600", "--cadence", "pow2",
+                         "--out", str(tmp_path / "t.csv")], d)
+        err = capsys.readouterr().err
+        assert rc in (0, 3) and "Traceback" not in err, (seed, err)
+        if rc == 3:
+            assert err.startswith("error: numerical failure:"), (seed, err)
+            assert re.search(r"at k = \d+|at record \d+", err), (seed, err)
 
 
 def test_traced_command_reports_every_layer_metric(tmp_path):

@@ -19,6 +19,7 @@ from subell.solver import (
     SolverState,
     StrategyConfig,
     TraceRow,
+    _localizer,
     avg_radius,
     delta_from_target,
     gamma_opt,
@@ -758,6 +759,36 @@ class TestLeanHistory:
         for history in (res.records, res.records[3:10], History.of(stepped)):
             assert History.of(history) is history
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", ["max-affine-ball", "max-affine-box"])
+    def test_every_record_keeps_the_steps_own_localizer_scalars(self, family, variant):
+        # ``step`` records <c, Hc> and <c, z> of the localizer, <c, Hg> and
+        # <g, x - z>, each the very float formed from the state before the
+        # step, and a stacked history and a run read them back unchanged
+        prob = FAMILIES[family](np.random.default_rng(54))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        names = ("cHc", "cz", "cHg", "gxz")
+        state, stepped, formed = initial_state(prob), [], []
+        for _ in range(BLOCK_ROWS + 20):
+            resp = prob.oracle(state.x)
+            g = resp.g.astype(float)
+            z, _, cHc, cz = _localizer(state)
+            formed.append((cHc, cz, float(state.c @ (state.H @ g)),
+                           float(g @ (state.x - z))))
+            state, rec, terminal = step(state, resp, config)
+            stepped.append(rec)
+            if terminal:
+                break
+        assert len(stepped) > BLOCK_ROWS
+        res = run(prob, config, BLOCK_ROWS + 20)
+        assert len(res.records) == len(stepped)
+        for records in (stepped, History.of(stepped), res.records):
+            for rec, want in zip(records, formed):
+                got = tuple(getattr(rec, name) for name in names)
+                assert all(type(value) is float for value in got)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_dropped_result_is_freed_without_the_cycle_collector(self):
         prob = max_affine_ball(np.random.default_rng(51), 30)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 30,
@@ -777,8 +808,8 @@ class TestLeanHistory:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
-        # 2000 steps hold four stacked n-vectors and seven scalars each,
-        # and a trace row: about 2.6 MB
+        # 2000 steps hold four stacked n-vectors and twelve scalars each,
+        # and a trace row: about 2.8 MB
         assert held > 2_000_000
         assert left < 0.01 * held
 
@@ -806,7 +837,8 @@ class TestLeanHistory:
         trace_row = sys.getsizeof(row) + sum(
             sys.getsizeof(getattr(row, f.name)) for f in fields(TraceRow)
             if type(getattr(row, f.name)) in (int, float))
-        # x, g, Hg and z, and a, b, D, sigma, U, productive and |g|
+        # x, g, Hg and z, and seven of the twelve scalars; the bound leaves
+        # room for the rest
         payload = 4 * n * 8 + 7 * 8
         assert held / K <= 1.25 * (payload + trace_row)
 

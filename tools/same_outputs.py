@@ -6,12 +6,15 @@ Usage::
 
 Writes problem 0 of the benchmark's seed 1 at n = 10, 30, 60, 100 and 400
 (``perfbench/generate.py`` of this checkout, imported without writing
-bytecode) and a small bilinear saddle problem drawn from a fixed seed,
-runs the same seven ``subell`` commands against the ``src/`` of each tree
-with one BLAS thread, and compares every output file and each command's
-stdout byte for byte.  Besides the benchmark's five commands, a terminal
-``certify`` covers the terminal certificate pathway, and a saddle ``solve``
-covers trace rows with empty cells (no ``f_value``).  Only the
+bytecode), a small bilinear saddle problem and a small affine monotone
+variational inequality, both drawn from a fixed seed, runs the same eight
+``subell`` commands against the ``src/`` of each tree with one BLAS thread,
+and compares every output file and each command's stdout byte for byte.
+Besides the benchmark's five commands, a terminal ``certify`` covers the
+terminal certificate pathway, a saddle ``solve`` covers trace rows with
+empty cells (no ``f_value``), and a VI ``certify`` covers a run whose
+``<c, z - x>`` and ``<c, Hc>`` differ in the last bits, which the
+benchmark's max-of-affine problems do not show.  Only the
 ``wall_time_us`` column of trace CSVs and the ``problem:`` line of
 summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
 output and exits 1 on any DIFF.  Under a DIFF in a certificate file
@@ -54,6 +57,8 @@ COMMANDS = (
                                                 "--epsilon", "0.3", "--iters", "20000")),
     ("solve-saddle-n6", "saddle-n6", ("solve", "--variant", "subgrad-ellipsoid",
                                       "--iters", "500")),
+    ("certify-vi-n6", "vi-n6", ("certify", "--variant", "subgrad-ellipsoid",
+                                "--iters", "200", "--cadence", "25")),
 )
 
 
@@ -85,9 +90,27 @@ def _saddle_problem(nu: int = 3, nv: int = 3) -> dict:
     }
 
 
+def _vi_problem(n: int = 6) -> dict:
+    """Description of the operator V(x) = Mx, M skew, over the unit ball,
+    started off the center, where the solution is."""
+    rng = np.random.default_rng([SEED, n])
+    S = rng.standard_normal((n, n))
+    u = rng.standard_normal(n)
+    return {
+        "kind": "vi-affine-monotone",
+        "dim": n,
+        "x0": (0.2 * (u / np.linalg.norm(u))).tolist(),
+        "R": 1.5,
+        "set": {"type": "ball", "center": [0.0] * n, "radius": 1.0},
+        "objective": {"M": (S - S.T).tolist(), "q": [0.0] * n},
+    }
+
+
 def _problem(name: str, generate) -> dict:
     if name == "saddle-n6":
         return _saddle_problem()
+    if name == "vi-n6":
+        return _vi_problem()
     return generate.max_affine_ball(SEED, int(name.rsplit("-n", 1)[1]), 0)
 
 
