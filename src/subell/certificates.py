@@ -37,19 +37,14 @@ import numpy as np
 
 # ``spd_inverse`` is not called here any more; the benchmark's tracer looks
 # it up in this module
-from .linalg import PositiveDefinitenessLost, spd_inverse, top_eigenpair  # noqa: F401
+from .linalg import CANCELLED, spd_inverse, top_eigenpair  # noqa: F401
 from .oracles import Problem
 from .solver import History, HistoryRecord, SolverState, avg_radius
 # ``dual_multipliers`` is the scalar entry to the same kernel; the benchmark's
 # tracer looks it up in this module
-from .support import (  # noqa: F401
-    DependentConstraints, SlaterViolation, _cut_pair, _direction_pair, dual_multipliers)
+from .support import _cut_pair, _direction_pair, dual_multipliers  # noqa: F401
 
 PRELIMINARY, TERMINAL, MIN_WIDTH = "preliminary", "terminal", "min-width"
-
-# a direction whose norm is below this share of the magnitude of the terms
-# it sums is rounding noise (the summation error bound, with room)
-CANCELLED = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -144,14 +139,15 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
     column j joins at record ``k_j - 1``.  Per record, the cut-only half of
     the two-cut kernel runs once, the Gram scalars of the live columns come
     from three block products, and the direction half runs per column; a
-    numerical failure in either says its record.  The multipliers fold in
-    as ``S -= mu g^T`` and ``V -= mu (Hg)^T``, and the rank-one step back is
-    ``V += beta Hg (Hg^T S)``.
+    numerical failure (an ``ArithmeticError``) in either says its record.
+    The multipliers fold in as ``S -= mu g^T`` and ``V -= mu (Hg)^T``, and
+    the rank-one step back is ``V += beta Hg (Hg^T S)``.
 
     Each column carries ``M = |s_k| + sum(mu_i |g_i|)``, the magnitude of
-    the terms its direction sums; once ``|s| <= CANCELLED M`` the direction
-    is rounding noise, and the column is zeroed in ``S`` and ``V``, so every
-    later multiplier of it is 0.  Returns ``(mus, S_0)`` with one row per
+    the terms its direction sums; once ``|s| <= CANCELLED M`` (``linalg``'s
+    bound on summation error) the direction is rounding noise, and the
+    column is zeroed in ``S`` and ``V``, so every later multiplier of it is
+    0.  Returns ``(mus, S_0)`` with one row per
     column, in the order given; ``mus[j, i]`` is 0 for ``i >= k_j``.
     """
     K = len(history)
@@ -184,7 +180,7 @@ def _sweep(history: History, columns) -> tuple[np.ndarray, np.ndarray]:
                              gxzs[i])
             mu = [_direction_pair(D * sv, D * vc, D * vg, pair)[1] for sv, vc, vg in zip(
                 (St * Vt).sum(axis=1).tolist(), Vt.dot(c).tolist(), Vt.dot(g).tolist())]
-        except (PositiveDefinitenessLost, SlaterViolation, DependentConstraints) as exc:
+        except ArithmeticError as exc:
             raise type(exc)(f"{exc} in the sweep at record {i}") from exc
         if not any(mu):
             continue

@@ -14,9 +14,9 @@ the min-width pathway replays the state at each checkpoint, chained from
 the previous one (``reconstruct_state``, one n x n operator at a time), for
 the direction and average radius of its ellipsoid.
 
-Exit code 2 reports a load, validation or usage error and 3 a numerical
-failure of the solver or the certificate pass (a float overflow included),
-on stderr without a traceback.
+Exit code 2 reports a load, validation or usage error (an ``OSError`` or a
+``ValueError``) and 3 a numerical failure (an ``ArithmeticError``, a float
+overflow included, or a ``LinAlgError``), on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from itertools import islice
 from operator import attrgetter
 
@@ -38,14 +39,13 @@ from .solver import (
     VARIANTS,
     Schedule,
     StrategyConfig,
+    TraceRow,
     delta_from_target,
     reconstruct_state,
     run,
 )
-from .support import DependentConstraints, SlaterViolation
 
-TRACE_COLUMNS = ("k", "variant", "productive", "f_value", "sliding_gap",
-                 "cert_gap", "R_k", "avrad", "Gamma_k", "wall_time_us")
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 CERT_COLUMNS = ("k", "pathway", "Gamma_lambda", "S_lambda", "gap", "residual",
                 "rho", "gap_bound")
 CSV_BLOCK_ROWS = 1000  # rows formatted and written per block
@@ -174,8 +174,8 @@ def _write_csv(path, columns, rows, seed) -> None:
 _trace_cells = attrgetter(*TRACE_COLUMNS)
 
 
-def _summary(problem, args, result, extra="") -> str:
-    last = result.rows[-1] if result.rows else None
+def _summary(args, result, extra="") -> str:
+    last = result.rows[-1]
     lines = [
         f"problem: {args.problem}",
         f"variant: {getattr(args, 'variant', 'n/a')}",
@@ -185,12 +185,11 @@ def _summary(problem, args, result, extra="") -> str:
     ]
     if extra:
         lines.append(extra)
-    if last is not None:
-        lines.append(f"final_f: {_fmt(last.f_value)}")
-        lines.append(f"final_sliding_gap: {_fmt(last.sliding_gap)}")
-        lines.append(f"final_R_k: {_fmt(last.R_k)}")
-        lines.append(f"final_avrad: {_fmt(last.avrad)}")
-        lines.append(f"final_Gamma_k: {_fmt(last.Gamma_k)}")
+    lines.append(f"final_f: {_fmt(last.f_value)}")
+    lines.append(f"final_sliding_gap: {_fmt(last.sliding_gap)}")
+    lines.append(f"final_R_k: {_fmt(last.R_k)}")
+    lines.append(f"final_avrad: {_fmt(last.avrad)}")
+    lines.append(f"final_Gamma_k: {_fmt(last.Gamma_k)}")
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +197,7 @@ def cmd_solve(args) -> int:
     problem = _load(args)
     config, note = _config(args, problem)
     result = run(problem, config, args.iters)
-    summary = _summary(problem, args, result, extra=note)
+    summary = _summary(args, result, extra=note)
     if args.out:
         _write_csv(args.out, TRACE_COLUMNS, map(_trace_cells, result.rows), args.seed)
         with open(args.out + ".summary.txt", "w", encoding="utf-8") as fh:
@@ -208,8 +207,6 @@ def cmd_solve(args) -> int:
 
 
 def _checkpoints(cadence: str, total: int) -> list[int]:
-    if total < 1:
-        return []
     if cadence == "pow2":
         ks, k = [], 1
         while k < total:
@@ -255,7 +252,7 @@ def cmd_certify(args) -> int:
         if cp.k < len(result.rows) and g is not None:
             result.rows[cp.k].cert_gap = g
 
-    summary = _summary(problem, args, result, extra=note)
+    summary = _summary(args, result, extra=note)
     summary += f"certificates: {len(cert_rows)} checkpoints (cadence {args.cadence})\n"
     if cert_rows:
         summary += f"final_cert_gap: {_fmt(cert_rows[-1][4])}\n"
@@ -345,12 +342,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ArithmeticError covers PositiveDefinitenessLost and a float overflow
-    except (ArithmeticError, SlaterViolation, DependentConstraints,
-            np.linalg.LinAlgError) as exc:
+    # every numerical failure of the package is an ArithmeticError
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ProblemFormatError, FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ Coordinates are fixed so that the reference inner product is the plain dot
 product; every operator in this package is then just a dense symmetric
 ``numpy`` array.  This module provides the few primitives the solver and
 the certificates need: the one round-off rule (``nonneg``, with
-``nonneg_sqrt`` its square root), the dual norm given the inverse operator
+``nonneg_sqrt`` its square root), the one bound on summation error
+(``CANCELLED``), the dual norm given the inverse operator
 (``dual_norm``), the SPD inverse and symmetrization, and the top eigenpair
 of a symmetric matrix, which the min-width certificate takes of ``-H``.
 The rank-one update of the inverse metric lives with the step that makes
@@ -16,6 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# a sum whose magnitude is below this share of the magnitudes of its terms
+# is rounding noise (the summation error bound, with room)
+CANCELLED = 16.0 * float(np.finfo(float).eps)
 
 
 class PositiveDefinitenessLost(ArithmeticError):

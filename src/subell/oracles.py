@@ -395,19 +395,18 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         return MaxAffine(A, offs)
     if kind == KIND_QUADRATIC:
         P = _array(d["P"], (dim, dim), "P")
-        P = 0.5 * (P + P.T)
+        P = 0.5 * P + 0.5 * P.T  # cannot overflow, unlike 0.5 * (P + P.T)
         if float(np.linalg.eigvalsh(P)[0]) < -MONOTONE_TOL:
             raise ProblemFormatError("quadratic objective must be convex (P >= 0)")
         return ConvexQuadratic(P, _vec(d["q"], dim, "q"))
     if kind == KIND_SADDLE:
         nu = feasible.dim_u
         return BilinearSaddle(_array(d["M"], (nu, dim - nu), "M"))
-    if kind == KIND_VI:
-        M = _array(d["M"], (dim, dim), "M")
-        if float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) < -MONOTONE_TOL:
-            raise ProblemFormatError("operator is not monotone (M + M^T has a negative eigenvalue)")
-        return MonotoneAffineField(M, _vec(d["q"], dim, "q"))
-    raise ProblemFormatError(f"unknown problem kind {kind!r}")
+    # the last of KINDS, which _problem_from_dict has checked
+    M = _array(d["M"], (dim, dim), "M")
+    if float(np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)[0]) < -MONOTONE_TOL:
+        raise ProblemFormatError("operator is not monotone (M + M^T has a negative eigenvalue)")
+    return MonotoneAffineField(M, _vec(d["q"], dim, "q"))
 
 
 def _default_variation_bound(kind: str, objective, feasible, x0: np.ndarray, R: float) -> float:
@@ -466,8 +465,8 @@ def _problem_from_dict(d: dict) -> Problem:
             f"(max {feasible.inner_radius:g})"
         )
     V = _num(d["V"], "V") if "V" in d else _default_variation_bound(kind, objective, feasible, x0, R)
-    if V < 0:
-        raise ProblemFormatError("V must be nonnegative")
+    if not 0 <= V < math.inf:
+        raise ProblemFormatError(f"V = {V:g} must be finite and nonnegative")
 
     xstar = _vec(d["xstar"], dim, "xstar") if d.get("xstar") is not None else None
     if xstar is not None and not feasible.contains(xstar):

@@ -23,12 +23,13 @@ Everything per iteration costs O(n^2): two matrix-vector products plus a
 rank-one update.  The per-step history recorded here is exactly what the
 certificate backward pass (module ``certificates``) needs; it holds O(n)
 numbers per step and no operator.  A run keeps it stacked, as a
-``History``: four n-wide rows and twelve scalars per step, the products
-of ``U_k`` among them, in blocks stacked once when full.  Step 4 is stated
-once, in ``_advance``: ``step`` applies it to its own products and
-``reconstruct_state`` to the stacked rows, and ``HistoryRecord.H`` replays
-its rank-one part (``_rank_one_update``) over the same rows, so a replayed
-state or operator equals the run's own bit for bit.  A ``D_k`` or sliding-gap
+``History``: the n-wide rows and the scalars of ``HistoryRecord`` per
+step, the products of ``U_k`` among them, in blocks stacked once when
+full.  Step 4 is stated once, in ``_advance``: ``step`` applies it to its
+own products and ``reconstruct_state`` to the stacked rows, and
+``HistoryRecord.H`` replays its rank-one part (``_rank_one_update``) over
+the same rows, so a replayed state or operator equals the run's own bit
+for bit.  A ``D_k`` or sliding-gap
 ``<c, Hc>`` outside ``[0, inf)`` goes through ``linalg.nonneg``, and a
 nonterminal step with ``g.Hg <= 0`` raises ``PositiveDefinitenessLost``.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .linalg import PositiveDefinitenessLost, nonneg, nonneg_sqrt
 from .oracles import OracleResponse, Problem
-from .support import DependentConstraints, SlaterViolation, _cut_norm, _xi_gram
+from .support import _cut_norm, _xi_gram
 
 VARIANT_SUBGRADIENT = "subgradient"
 VARIANT_ELLIPSOID = "ellipsoid"
@@ -232,12 +233,11 @@ class HistoryRecord:
 # steps per block of a run's history: few enough that a block's records are
 # still in cache when it is stacked
 BLOCK_ROWS = 64
+# the fields of a record, in the order ``HistoryRecord`` takes them: the
+# n-wide rows a history stores, the row ``c`` it derives, and the scalars
+_FIELDS = tuple(f.name for f in fields(HistoryRecord) if not f.name.startswith("_"))
 _VECTORS = ("x", "g", "Hg", "z")
-_SCALARS = ("a", "b", "D", "sigma", "U", "productive", "gnorm", "gHg",
-            "cHc", "cz", "cHg", "gxz")
-# the fields of a record, in the order ``HistoryRecord`` takes them
-_FIELDS = ("x", "g", "a", "b", "Hg", "z", "D", "c", "sigma", "U", "productive",
-           "gnorm", "gHg", "cHc", "cz", "cHg", "gxz")
+_SCALARS = tuple(name for name in _FIELDS if name not in _VECTORS + ("c",))
 
 
 class _Rows:
@@ -329,11 +329,10 @@ def _prefix_sums(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 class History:
     """The recorded steps of one run, stacked.
 
-    ``x``, ``g``, ``Hg`` and ``z`` are n-wide rows, and ``a``, ``b``, ``D``,
-    ``sigma``, ``U``, ``productive`` and the six products of ``HistoryRecord``
-    one scalar per step: O(n) numbers per step.  While a run grows it, they
-    are stacked in blocks of ``BLOCK_ROWS`` steps; the first read merges the
-    blocks.  ``c`` is not stored; it is the running sum of the rows
+    ``x``, ``g``, ``Hg`` and ``z`` are n-wide rows, and every other field of
+    ``HistoryRecord`` but ``c`` one scalar per step: O(n) numbers per step.
+    While a run grows it, they are stacked in blocks of ``BLOCK_ROWS``
+    steps; the first read merges the blocks.  ``c`` is not stored; it is the running sum of the rows
     ``a_i g_i``, derived once on first read.  ``array(name)`` is one field
     over the steps as one array.  ``history[k]`` is the ``HistoryRecord`` of
     step k, with row views and Python scalars, and ``history[i:j]`` a
@@ -491,16 +490,15 @@ def _advance(state: SolverState, g: np.ndarray, hg: np.ndarray, a: float,
     )
 
 
-def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
-         *, localizer=None) -> tuple[SolverState, HistoryRecord, bool]:
+def step(state: SolverState, response: OracleResponse,
+         config: StrategyConfig) -> tuple[SolverState, HistoryRecord, bool]:
     """One iteration: record, test termination, update.
 
     ``U_k`` is the support of ``g_k`` over the localizer, and the step
     weights are ``a_k = (alpha_k R + theta gamma R_k / 2) / |g_k|_k`` and
     ``b_k = gamma / |g_k|_k^2``; the record carries all three.  Each product
     is formed once, here or in the localizer, and recorded; a numerical
-    failure in ``U_k`` says "in U at k = K".  ``localizer`` is
-    ``_localizer(state)`` when the caller already has it.  Returns
+    failure (an ``ArithmeticError``) in ``U_k`` says "in U at k = K".  Returns
     ``(new_state, record, terminal)``; the record is a fresh mutable
     dataclass that shares the state's ``x`` and ``c`` arrays, which nothing
     writes to, and ``state`` is left untouched.  On a terminal iteration
@@ -509,7 +507,7 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
     state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
     """
     g = response.g.astype(float)
-    z, D, cHc, cz = localizer if localizer is not None else _localizer(state)
+    z, D, cHc, cz = _localizer(state)
     hg = state.H @ g
     t = float(g @ hg)
     cHg = float(state.c @ hg)
@@ -518,7 +516,7 @@ def step(state: SolverState, response: OracleResponse, config: StrategyConfig,
         aHa, beta = D * cHc, state.sigma - cz
         try:
             U += _xi_gram(D * t, -D * cHg, aHa, _cut_norm(aHa, beta), beta)
-        except (PositiveDefinitenessLost, SlaterViolation, DependentConstraints) as exc:
+        except ArithmeticError as exc:
             raise type(exc)(f"{exc} in U at k = {state.k}") from exc
     # equals np.linalg.norm(g) bit for bit: norm of a 1-D float array is
     # sqrt(g.dot(g))
@@ -548,7 +546,8 @@ def sliding_gap(state: SolverState, *, localizer=None) -> float:
     """max of the accumulated linear model over the current ellipsoid,
     normalized by Gamma_k; undefined when no step weight was accumulated
     (the standard ellipsoid strategy).  ``localizer`` is
-    ``_localizer(state)`` when the caller already has it."""
+    ``_localizer(state)`` when the caller already has it, such as the
+    ``(z, D, cHc, cz)`` recorded by the step taken at ``state``."""
     if state.Gamma <= 0.0:
         raise ValueError("sliding gap undefined: no accumulated step weights")
     _, D, cHc, cz = localizer if localizer is not None else _localizer(state)
@@ -602,8 +601,8 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     Stops at ``max_iter``, at the gap test ``U_k <= delta_term |g_k|``, or
     when the oracle reports a zero vector (the test point is then an exact
     solution; the trailing history record carries it with unit certificate
-    weight semantics).  The localizer is formed once per iteration and
-    shared by the step and the trace row.
+    weight semantics).  ``step`` forms the localizer once per iteration, and
+    the trace row reads its sliding gap from the record.
 
     The history holds O(n) numbers per step and no operator: ``run`` appends
     the fields of each record ``step`` makes to a ``History``, and
@@ -619,11 +618,10 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
     for _ in range(max_iter):
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
-        localizer = _localizer(state)
-        new_state, record, terminal = step(state, resp, config, localizer=localizer)
+        new_state, record, terminal = step(state, resp, config)
         records.append(record)
         if collect_trace:
-            rows.append(_trace_row(problem, config, state, resp, localizer,
+            rows.append(_trace_row(problem, config, state, resp, record,
                                    time.perf_counter() - t_start))
         if terminal:
             termination = "gap-threshold" if np.any(resp.g) else "zero-subgradient"
@@ -656,10 +654,10 @@ def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],
     return state
 
 
-def _trace_row(problem, config, state, resp, localizer, elapsed_s) -> TraceRow:
+def _trace_row(problem, config, state, resp, record, elapsed_s) -> TraceRow:
     gap = None
     if state.k >= 1 and state.Gamma > 0.0:
-        gap = sliding_gap(state, localizer=localizer)
+        gap = sliding_gap(state, localizer=(record.z, record.D, record.cHc, record.cz))
     return TraceRow(
         state.k,
         config.variant,

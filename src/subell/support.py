@@ -27,7 +27,8 @@ branch returns.
 The dual is positively homogeneous in ``s``, in each cut and in ``(H, b)``
 (H quadratically), so every tolerance is relative to the dual norms of the
 vectors it compares: a sign test of ``a`` against ``s`` allows
-``SLATER_TOL |a|* |s|*``, an offset or redundancy test on cut ``a`` allows
+``SLATER_TOL |a|* |s|*`` (in ``_direction_pair`` plus ``linalg.CANCELLED``
+times the summed magnitudes of the two products it compares), an offset or redundancy test on cut ``a`` allows
 ``SLATER_TOL |a|*``, two cuts are dependent when
 ``det(A^T H A) <= 1e-14 (a1.Ha1)(a2.Ha2)``, round-off clamps of square roots
 (``linalg.nonneg_sqrt``) scale with the largest Gram term, and the quadrant
@@ -36,6 +37,7 @@ Power-of-two scalings thus keep every branch and scale the multipliers
 exactly.  Ties resolve toward the sparser multiplier pair (either branch is
 optimal at exact equality); two parallel cuts never reach the two-multiplier
 branch, because the redundancy checks collapse them onto one cut.
+Every numerical failure raised here is an ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -45,17 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import nonneg_sqrt
+from .linalg import CANCELLED, nonneg_sqrt
 
 SLATER_TOL = 1e-12
 
 
-class SlaterViolation(ValueError):
-    """The cut leaves the ellipsoid without interior feasible points."""
+class SlaterViolation(ArithmeticError):
+    """Numerical failure: a cut leaves the ellipsoid without interior points."""
 
 
-class DependentConstraints(ValueError):
-    """The constraint normals are (numerically) linearly dependent."""
+class DependentConstraints(ArithmeticError):
+    """Numerical failure: the constraint normals are numerically dependent."""
 
 
 @dataclass(frozen=True)
@@ -164,19 +166,21 @@ def _direction_pair(sHs, a1Hs, a2Hs, pair) -> tuple[float, float]:
     tau1 = _single_cut(sHs, a1Hs, a1Ha1, nrm_a1, b1)
     r1 = sHs - 2.0 * tau1 * a1Hs + tau1 * tau1 * a1Ha1
     n1 = nonneg_sqrt(r1, max(sHs, tau1 * tau1 * a1Ha1))  # |s - tau1 a1|*
-    if a2Hs - tau1 * a1Ha2 <= b2 * n1 + SLATER_TOL * nrm_a2 * n1:
+    if a2Hs - tau1 * a1Ha2 <= (b2 * n1 + SLATER_TOL * nrm_a2 * n1
+                               + CANCELLED * (abs(a2Hs) + abs(tau1 * a1Ha2))):
         return tau1, 0.0
     tau2 = _single_cut(sHs, a2Hs, a2Ha2, nrm_a2, b2)
     r2 = sHs - 2.0 * tau2 * a2Hs + tau2 * tau2 * a2Ha2
     n2 = nonneg_sqrt(r2, max(sHs, tau2 * tau2 * a2Ha2))  # |s - tau2 a2|*
-    if a1Hs - tau2 * a1Ha2 <= b1 * n2 + SLATER_TOL * nrm_a1 * n2:
+    if a1Hs - tau2 * a1Ha2 <= (b1 * n2 + SLATER_TOL * nrm_a1 * n2
+                               + CANCELLED * (abs(a1Hs) + abs(tau2 * a1Ha2))):
         return 0.0, tau2
 
     # both constraints active
     mu1, mu2 = _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2)
     if min(mu1, mu2) < -1e-9 * max(abs(mu1), abs(mu2)):
-        raise RuntimeError(f"two-cut stationary point ({mu1:g}, {mu2:g}) left the "
-                           "nonnegative quadrant; inconsistent geometry")
+        raise ArithmeticError(f"two-cut stationary point ({mu1:g}, {mu2:g}) left the "
+                              "nonnegative quadrant; inconsistent geometry")
     return max(mu1, 0.0), max(mu2, 0.0)
 
 

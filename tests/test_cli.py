@@ -268,6 +268,8 @@ def test_unknown_variant_in_compare_fails_cleanly(problem_path, capsys):
     PositiveDefinitenessLost("negative radicand"),
     SlaterViolation("cut leaves no interior"),
     DependentConstraints("A^T H A is numerically singular"),
+    ArithmeticError("two-cut stationary point left the nonnegative quadrant"),
+    OverflowError("math range error"),
     np.linalg.LinAlgError("Matrix is not positive definite"),
 ], ids=lambda e: type(e).__name__)
 def test_numerical_failure_exits_3(problem_path, monkeypatch, capsys, exc):
@@ -280,6 +282,36 @@ def test_numerical_failure_exits_3(problem_path, monkeypatch, capsys, exc):
         err = capsys.readouterr().err
         assert err.startswith("error: numerical failure: ")
         assert str(exc) in err and "Traceback" not in err
+
+
+def test_numerical_failures_are_arithmetic_errors():
+    # so that one ``except ArithmeticError`` in the step, the sweep and
+    # ``main`` catches each, and no ``except ValueError`` does
+    for cls in (PositiveDefinitenessLost, SlaterViolation, DependentConstraints):
+        assert issubclass(cls, ArithmeticError) and not issubclass(cls, ValueError)
+
+
+def test_overflow_in_U_exits_3_naming_its_step(problem_path, monkeypatch, capsys):
+    def overflowing(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("subell.solver._xi_gram", overflowing)
+    for command in ("solve", "certify"):
+        assert main([command, "--problem", problem_path, "--iters", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure: math range error in U at k = 0\n"
+
+
+def test_slater_violation_in_the_sweep_exits_3_naming_its_record(problem_path,
+                                                                  monkeypatch, capsys):
+    def violated(*args):
+        raise SlaterViolation("offset below -|a|*")
+
+    monkeypatch.setattr(certs, "_cut_pair", violated)
+    # the sweep starts at the last of the 5 records
+    assert main(["certify", "--problem", problem_path, "--iters", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: numerical failure: offset below -|a|* in the sweep at record 4\n"
 
 
 DELETE = object()
@@ -552,10 +584,11 @@ def test_traced_certify_reports_every_layer_metric(tmp_path, command):
 def test_readme_library_blocks_run(tmp_path, monkeypatch, capsys):
     """The README's Python blocks run as written, in a directory whose
     ``problem.json`` is the benchmark's seed-1 n=5 problem, the one the
-    traced commands above run on.  This test does not cover the README's own
-    2-D problem file: certifying it fails today (its minimizers form a
-    segment, and the metric collapses along one direction; ROADMAP items 1
-    and 2)."""
+    traced commands above run on.  They run 400 steps and more, which the
+    README's own 2-D problem file does not certify at today (its minimizers
+    form a segment, and the metric collapses along one direction; ROADMAP
+    items 1c and 2); ``test_readme_problem_file_certifies`` certifies that
+    file at the lengths it certifies at."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     assert blocks
@@ -564,6 +597,44 @@ def test_readme_library_blocks_run(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("iters", [25, 50])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_readme_problem_file_certifies(tmp_path, variant, iters):
+    """The README's JSON problem file certifies as written.  Its two cuts
+    are antiparallel at every record, a slab, so the sign tests of the
+    two-cut kernel meet exact ties that rounding breaks either way; each
+    allows for the rounding of its own left-hand side."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    rows, _ = _certify_within_sliding_gaps(tmp_path, json.loads(block), variant, iters)
+    # the ellipsoid variant keeps no step weights, and so no sliding gap
+    has_preliminary = any(row["pathway"] == certs.PRELIMINARY for row in rows)
+    assert has_preliminary == (variant != "ellipsoid")
+
+
+def _certify_within_sliding_gaps(tmp_path, description, variant, iters):
+    """``certify`` of the problem ``description`` exits 0, and each of its
+    preliminary gaps is at most the sliding gap at its k; returns the
+    certificate rows and the run."""
+    from subell.oracles import problem_from_dict
+    from subell.solver import Schedule, StrategyConfig, reconstruct_state, run, sliding_gap
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(description), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert main(["certify", "--problem", str(path), "--variant", variant,
+                 "--iters", str(iters), "--out", str(out)]) == 0
+    _, rows = _read_csv(str(out) + ".certs.csv")
+    prob = problem_from_dict(description)
+    res = run(prob, StrategyConfig.for_variant(variant, prob.dim,
+                                               schedule=Schedule("decay")), iters)
+    state = None
+    for row in (row for row in rows if row["pathway"] == certs.PRELIMINARY):
+        state = reconstruct_state(prob, res.records, int(row["k"]), res.state, start=state)
+        assert float(row["gap"]) <= sliding_gap(state) + 1e-9, row["k"]
+    return rows, res
 
 
 # the two healthy runs whose backward direction cancels to rounding noise
@@ -596,24 +667,9 @@ CANCELLED_DIRECTION_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CANCELLED_DIRECTION_CASES))
 def test_cancelled_direction_certifies(tmp_path, case):
-    from subell.oracles import problem_from_dict
-    from subell.solver import Schedule, StrategyConfig, reconstruct_state, run, sliding_gap
-
     description, variant, iters = CANCELLED_DIRECTION_CASES[case]
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(description), encoding="utf-8")
-    out = tmp_path / "c.csv"
-    assert main(["certify", "--problem", str(path), "--variant", variant,
-                 "--iters", str(iters), "--out", str(out)]) == 0
-    _, rows = _read_csv(str(out) + ".certs.csv")
+    rows, res = _certify_within_sliding_gaps(tmp_path, description, variant, iters)
     assert [row["pathway"] for row in rows] == ["preliminary"] * len(rows)
-    prob = problem_from_dict(description)
-    res = run(prob, StrategyConfig.for_variant(variant, prob.dim,
-                                               schedule=Schedule("decay")), iters)
-    state = None
-    for row in rows:
-        state = reconstruct_state(prob, res.records, int(row["k"]), res.state, start=state)
-        assert float(row["gap"]) <= sliding_gap(state) + 1e-9, row["k"]
     # the final checkpoint's direction cancels part-way back, and the sweep
     # zeroes it there
     start = certs.Checkpoint.at(res.records, iters, certs.PRELIMINARY)

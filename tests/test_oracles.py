@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subell.cli import main
 from subell.oracles import (
     Ball,
     BilinearSaddle,
@@ -287,6 +288,31 @@ class TestProblemFiles:
                 "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
                 "objective": {"P": [[-1.0, 0], [0, 1.0]], "q": [0, 0]},
             })
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,payload,match", [
+        # not monotone; 0.5 * (M + M^T) would overflow to -inf, and its
+        # eigenvalues to NaN, which passes a "< -tol" test
+        ("vi-affine-monotone", {"M": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, "monotone"),
+        # not convex, and would load with an infinite P
+        ("quadratic-over-ball", {"P": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, "convex"),
+        # indefinite, and would load with an infinite P
+        ("quadratic-over-ball", {"P": [[1, 1e308], [1e308, 1]], "q": [0, 0]}, "convex"),
+        # convex, but the default V = sup|g| diam(Q) overflows
+        ("quadratic-over-ball", {"P": [[1.7e308, 0], [0, 1]], "q": [0, 0]}, "V = inf"),
+    ], ids=["vi-M-overflows", "quadratic-P-overflows", "quadratic-indefinite-huge",
+            "quadratic-V-overflows"])
+    def test_overflowing_objective_exits_2(self, tmp_path, capsys, kind, payload, match):
+        d = {"kind": kind, "dim": 2, "x0": [0.1, 0.0], "R": 1.0,
+             "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
+             "objective": payload}
+        with pytest.raises(ProblemFormatError, match=match):
+            problem_from_dict(d)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["solve", "--problem", str(path), "--iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

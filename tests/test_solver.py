@@ -282,6 +282,23 @@ class TestStep:
         assert rec.U == pytest.approx(0.1, rel=1e-15) and rec.gHg == 0.0
         assert rec.a == rec.b == 0.0
 
+    def test_overflow_in_U_raises_with_its_step(self, monkeypatch):
+        # a float overflow while U_k is formed is a numerical failure like
+        # the package's own, and says at which step it happened
+        prob = max_affine_ball(np.random.default_rng(8), 3)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 3,
+                                            schedule=Schedule("decay"))
+        state = initial_state(prob)
+        for _ in range(3):
+            state, _, _ = step(state, prob.oracle(state.x), config)
+
+        def overflowing(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("subell.solver._xi_gram", overflowing)
+        with pytest.raises(OverflowError, match=r"^math range error in U at k = 3$"):
+            step(state, prob.oracle(state.x), config)
+
     def test_negative_localizer_radius_raises_with_its_step(self):
         # D = -3.24 at k = 447, far beyond round-off
         prob = vi_problem(np.random.default_rng(0), 3)
