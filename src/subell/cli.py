@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_variant=True):
+    def common(p, beside, with_variant=True):
         p.add_argument("--problem", default=_env_default("problem"),
                        help="path to a problem JSON file")
         if with_variant:
@@ -95,22 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=_env_default("delta"),
                        help="explicit termination gap (overrides --epsilon)")
         p.add_argument("--out", default=_env_default("out"),
-                       help="output CSV path (summary goes next to it)")
+                       help=f"output CSV path ({beside})")
         p.add_argument("--seed", type=int, default=_env_default("seed", "0"),
                        help="seed recorded in output headers")
 
     ps = sub.add_parser("solve", help="run one variant, write trace and summary")
-    common(ps)
+    common(ps, "the summary goes to OUT.summary.txt")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("certify", help="run and emit certificates at checkpoints")
-    common(pc)
+    common(pc, "the certificates go to OUT.certs.csv and OUT.certs.json")
     pc.add_argument("--cadence", default=_env_default("cadence", "pow2"),
                     help="'pow2' or an integer stride between checkpoints")
     pc.set_defaults(func=cmd_certify)
 
     pm = sub.add_parser("compare", help="run several variants side by side")
-    common(pm, with_variant=False)
+    common(pm, "the regime report goes to OUT.report.txt", with_variant=False)
     pm.add_argument("--variants", default=_env_default("variants", ",".join(VARIANTS)),
                     help="comma-separated variant list")
     pm.set_defaults(func=cmd_compare)
@@ -139,10 +139,12 @@ def _delta_term(args, problem) -> tuple[float, str]:
     return 0.0, "delta_term: 0 (early termination disabled)"
 
 
-def _config(args, problem) -> tuple[StrategyConfig, str]:
+def _config(args, problem, variant: str) -> tuple[StrategyConfig, str]:
+    """``variant``'s strategy with the flags' schedule and termination gap,
+    and the summary's note on the gap: the one path from flags to a config."""
     delta, note = _delta_term(args, problem)
     schedule = Schedule.parse(args.schedule)
-    return StrategyConfig.for_variant(args.variant, problem.dim,
+    return StrategyConfig.for_variant(variant, problem.dim,
                                       schedule=schedule, delta_term=delta), note
 
 
@@ -178,7 +180,7 @@ def _summary(args, result, extra="") -> str:
     last = result.rows[-1]
     lines = [
         f"problem: {args.problem}",
-        f"variant: {getattr(args, 'variant', 'n/a')}",
+        f"variant: {args.variant}",
         f"seed: {args.seed}",
         f"iterations: {result.iterations} (requested {args.iters})",
         f"termination: {result.termination}",
@@ -195,7 +197,7 @@ def _summary(args, result, extra="") -> str:
 
 def cmd_solve(args) -> int:
     problem = _load(args)
-    config, note = _config(args, problem)
+    config, note = _config(args, problem, args.variant)
     result = run(problem, config, args.iters)
     summary = _summary(args, result, extra=note)
     if args.out:
@@ -224,7 +226,7 @@ def _checkpoints(cadence: str, total: int) -> list[int]:
 
 def cmd_certify(args) -> int:
     problem = _load(args)
-    config, note = _config(args, problem)
+    config, note = _config(args, problem, args.variant)
     result = run(problem, config, args.iters)
     records = result.records
     total = len(records)
@@ -272,17 +274,8 @@ def cmd_compare(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ValueError(f"--variants names no variant: {args.variants!r}")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ProblemFormatError(f"unknown variant {v!r}")
-    schedule = Schedule.parse(args.schedule)
-    delta, _ = _delta_term(args, problem)
-
-    results = {}
-    for v in variants:
-        config = StrategyConfig.for_variant(v, problem.dim, schedule=schedule,
-                                            delta_term=delta)
-        results[v] = run(problem, config, args.iters)
+    configs = {v: _config(args, problem, v)[0] for v in variants}
+    results = {v: run(problem, config, args.iters) for v, config in configs.items()}
 
     depth = max(len(r.rows) for r in results.values())
     columns = ["k"]

@@ -28,10 +28,10 @@ class PositiveDefinitenessLost(ArithmeticError):
 
 
 def symmetrize(H: np.ndarray) -> np.ndarray:
-    """Return ``(H + H.T) / 2``.  In the package only ``spd_inverse`` uses
-    it, on its input and on the inverse it forms; the solver's rank-one
-    updates keep ``H`` exactly symmetric and call it nowhere."""
-    return 0.5 * (H + H.T)
+    """``(H + H.T) / 2`` as ``0.5 H + 0.5 H^T``: it cannot overflow, and
+    halving is exact.  ``spd_inverse`` and the problem loader use it; the
+    solver's rank-one updates keep ``H`` exactly symmetric."""
+    return 0.5 * H + 0.5 * H.T
 
 
 def nonneg(value: float, scale: float = 1.0, context: str = "") -> float:

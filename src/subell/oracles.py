@@ -2,9 +2,10 @@
 
 A problem couples a feasible solid ``Q`` (given through a separation oracle)
 with a vector field ``g`` on its interior (given through a first-order
-oracle).  The solver only ever sees ``Problem.oracle``: the first-order
-answer on the interior of ``Q``, the set's ``separator`` otherwise.  Three
-families are shipped:
+oracle).  The solver only ever sees ``Problem.oracle``: the set's
+``separator`` outside the interior of ``Q``, the first-order answer
+inside.  A set's ``separator`` is also its one interior test: it returns
+None at an interior point.  Three families are shipped:
 
 * minimization of a nonsmooth convex function (max of affine pieces, or a
   convex quadratic), where ``g`` is a subgradient;
@@ -16,7 +17,9 @@ Problem files are JSON documents with keys ``kind``, ``dim``, ``x0``, ``R``,
 ``set`` and an objective payload, plus optional ``xstar``, ``fstar``,
 ``r`` (inner-ball radius) and ``V`` (semiboundedness constant).  See
 ``problem_from_dict`` for the exact schema; every invariant is re-validated
-on load and violations fail loudly.
+on load and violations fail loudly.  Matrices are symmetrized by
+``linalg.symmetrize``, and every containment test on load allows the same
+slack, ``LOAD_TOL``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import symmetrize
+
 MONOTONE_TOL = 1e-10
+LOAD_TOL = 1e-9  # every containment test on load: Q, the inner ball, xstar
 
 
 class ProblemFormatError(ValueError):
@@ -62,20 +68,15 @@ class Ball:
     center: np.ndarray
     radius: float
 
-    def contains_interior(self, x: np.ndarray) -> bool:
-        # sqrt(d.d) is np.linalg.norm(d) bit for bit, without its overhead
-        d = x - self.center
-        return math.sqrt(float(d @ d)) < self.radius
+    def separator(self, x: np.ndarray) -> Optional[OracleResponse]:
+        """The radial direction ``x - center``, or None inside the open ball.
 
-    def separator(self, x: np.ndarray) -> OracleResponse:
-        """The radial direction ``x - center``.
-
-        Valid for any point outside the open ball; for every ``y`` in the
-        ball, ``<x - center, x - y> >= 0``.
+        For every ``y`` in the ball, ``<x - center, x - y> >= 0``.
         """
         g = x - self.center
+        # sqrt(g.g) is np.linalg.norm(g) bit for bit, without its overhead
         if math.sqrt(float(g @ g)) < self.radius:
-            raise ValueError("separation oracle called with an interior point")
+            return None
         return OracleResponse(g, False)
 
     @property
@@ -89,8 +90,8 @@ class Ball:
     def max_distance_from(self, x0: np.ndarray) -> float:
         return float(np.linalg.norm(self.center - x0)) + self.radius
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+    def contains(self, x: np.ndarray) -> bool:
+        return float(np.linalg.norm(x - self.center)) <= self.radius + LOAD_TOL
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,8 @@ class Box:
     lower: np.ndarray
     upper: np.ndarray
 
-    def contains_interior(self, x: np.ndarray) -> bool:
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
-
-    def separator(self, x: np.ndarray) -> OracleResponse:
-        """The most-violated coordinate axis.
+    def separator(self, x: np.ndarray) -> Optional[OracleResponse]:
+        """The most-violated coordinate axis, or None inside the open box.
 
         Ties resolve to the smallest coordinate index so runs are reproducible.
         """
@@ -111,7 +109,7 @@ class Box:
         viol = np.maximum(over, under)
         j = int(np.argmax(viol))
         if viol[j] < 0.0:
-            raise ValueError("separation oracle called with an interior point")
+            return None
         g = np.zeros_like(x)
         g[j] = 1.0 if over[j] >= under[j] else -1.0
         return OracleResponse(g, False)
@@ -129,8 +127,8 @@ class Box:
         d = np.maximum(np.abs(self.lower - x0), np.abs(self.upper - x0))
         return float(np.linalg.norm(d))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(x >= self.lower - LOAD_TOL) and np.all(x <= self.upper + LOAD_TOL))
 
 
 @dataclass(frozen=True)
@@ -149,20 +147,19 @@ class BallProduct:
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[: self.dim_u], x[self.dim_u:]
 
-    def contains_interior(self, x: np.ndarray) -> bool:
+    def separator(self, x: np.ndarray) -> Optional[OracleResponse]:
+        """The radial direction of the u-ball if ``|u - center_u| >= radius_u``,
+        else of the v-ball; None inside the open product."""
         u, v = self.split(x)
-        return (
-            float(np.linalg.norm(u - self.center_u)) < self.radius_u
-            and float(np.linalg.norm(v - self.center_v)) < self.radius_v
-        )
-
-    def separator(self, x: np.ndarray) -> OracleResponse:
-        u, v = self.split(x)
+        du, dv = u - self.center_u, v - self.center_v
+        nu = float(np.linalg.norm(du))
+        if nu < self.radius_u and float(np.linalg.norm(dv)) < self.radius_v:
+            return None
         g = np.zeros_like(x)
-        if float(np.linalg.norm(u - self.center_u)) >= self.radius_u:
-            g[: self.dim_u] = u - self.center_u
+        if nu >= self.radius_u:
+            g[: self.dim_u] = du
         else:
-            g[self.dim_u:] = v - self.center_v
+            g[self.dim_u:] = dv
         return OracleResponse(g, False)
 
     @property
@@ -178,11 +175,11 @@ class BallProduct:
         dv = np.linalg.norm(self.center_v - x0[self.dim_u:]) + self.radius_v
         return float(np.hypot(du, dv))
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         u, v = self.split(x)
         return (
-            float(np.linalg.norm(u - self.center_u)) <= self.radius_u + tol
-            and float(np.linalg.norm(v - self.center_v)) <= self.radius_v + tol
+            float(np.linalg.norm(u - self.center_u)) <= self.radius_u + LOAD_TOL
+            and float(np.linalg.norm(v - self.center_v)) <= self.radius_v + LOAD_TOL
         )
 
 
@@ -253,6 +250,8 @@ KIND_QUADRATIC = "quadratic-over-ball"
 KIND_SADDLE = "saddle-bilinear"
 KIND_VI = "vi-affine-monotone"
 KINDS = (KIND_MAX_AFFINE, KIND_QUADRATIC, KIND_SADDLE, KIND_VI)
+# the kinds whose oracle forms an objective value along with its subgradient
+MINIMIZATION_KINDS = (KIND_MAX_AFFINE, KIND_QUADRATIC)
 
 
 @dataclass(frozen=True)
@@ -280,21 +279,22 @@ class Problem:
     fstar: Optional[float] = None
 
     def oracle(self, x: np.ndarray) -> OracleResponse:
-        """First-order oracle on the interior of Q, separation oracle outside.
+        """Separation oracle outside the interior of Q, first-order oracle
+        inside, from one ``separator`` call.
 
         On the interior of Q a minimization problem's answer also carries the
         objective value, formed from the same products as the subgradient.
         """
-        if not self.feasible.contains_interior(x):
-            return self.feasible.separator(x)
-        if self.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
+        if (cut := self.feasible.separator(x)) is not None:
+            return cut
+        if self.kind in MINIMIZATION_KINDS:
             f, g = self.objective.value_and_subgrad(x)
             return OracleResponse(g, True, f)
         return OracleResponse(self.objective.field(x), True)
 
     def f_value(self, x: np.ndarray) -> Optional[float]:
         """Objective value for minimization problems; None otherwise."""
-        if self.kind in (KIND_MAX_AFFINE, KIND_QUADRATIC):
+        if self.kind in MINIMIZATION_KINDS:
             return self.objective.value_and_subgrad(x)[0]
         return None
 
@@ -353,10 +353,7 @@ def _array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _parse_set(d: dict, kind: str, dim: int):
-    try:
-        set_type = d["type"]
-    except KeyError as exc:
-        raise ProblemFormatError("set descriptor needs a 'type'") from exc
+    set_type = d["type"]
     if kind == KIND_SADDLE:
         if set_type != "ball-product":
             raise ProblemFormatError("saddle problems require a 'ball-product' set")
@@ -392,10 +389,15 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         rows = [_obj(r, "objective row") for r in rows]
         A = _array([r["a"] for r in rows], (len(rows), dim), "row.a")
         offs = _array([r["b"] for r in rows], (len(rows),), "row.b")
+        # the step forms g.Hg, which is |a|^2 at the start
+        with np.errstate(over="ignore"):
+            huge = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", A, A)))
+        if huge.size:
+            raise ProblemFormatError(
+                f"objective row {huge[0]} is too large: |a|^2 is not a finite float")
         return MaxAffine(A, offs)
     if kind == KIND_QUADRATIC:
-        P = _array(d["P"], (dim, dim), "P")
-        P = 0.5 * P + 0.5 * P.T  # cannot overflow, unlike 0.5 * (P + P.T)
+        P = symmetrize(_array(d["P"], (dim, dim), "P"))
         if float(np.linalg.eigvalsh(P)[0]) < -MONOTONE_TOL:
             raise ProblemFormatError("quadratic objective must be convex (P >= 0)")
         return ConvexQuadratic(P, _vec(d["q"], dim, "q"))
@@ -404,7 +406,7 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         return BilinearSaddle(_array(d["M"], (nu, dim - nu), "M"))
     # the last of KINDS, which _problem_from_dict has checked
     M = _array(d["M"], (dim, dim), "M")
-    if float(np.linalg.eigvalsh(0.5 * M + 0.5 * M.T)[0]) < -MONOTONE_TOL:
+    if float(np.linalg.eigvalsh(symmetrize(M))[0]) < -MONOTONE_TOL:
         raise ProblemFormatError("operator is not monotone (M + M^T has a negative eigenvalue)")
     return MonotoneAffineField(M, _vec(d["q"], dim, "q"))
 
@@ -452,14 +454,14 @@ def _problem_from_dict(d: dict) -> Problem:
 
     # containment Q <= B(x0, R) is required for the composed oracle
     reach = feasible.max_distance_from(x0)
-    if reach > R + 1e-9:
+    if reach > R + LOAD_TOL:
         raise ProblemFormatError(
             f"feasible set is not contained in the initial ball: "
             f"max distance {reach:g} > R = {R:g}"
         )
 
     r = _num(d["r"], "r") if "r" in d else feasible.inner_radius
-    if r <= 0 or r > feasible.inner_radius + 1e-9:
+    if r <= 0 or r > feasible.inner_radius + LOAD_TOL:
         raise ProblemFormatError(
             f"inner radius {r:g} is not realized by a ball inside the feasible set "
             f"(max {feasible.inner_radius:g})"

@@ -145,7 +145,6 @@ class StrategyConfig:
         dim: int,
         schedule: Optional[Schedule] = None,
         delta_term: float = 0.0,
-        theta: Optional[float] = None,
     ) -> "StrategyConfig":
         if variant == VARIANT_SUBGRADIENT:
             return cls(variant, theta=0.0, gamma=0.0, alpha_scale=1.0,
@@ -156,11 +155,10 @@ class StrategyConfig:
             return cls(variant, theta=0.0, gamma=gamma_opt(0.5, dim),
                        delta_term=delta_term)
         if variant == VARIANT_ELLIPSOID_CERT:
-            th = THETA_ELLIPSOID_CERT if theta is None else theta
-            return cls(variant, theta=th, gamma=gamma_opt(1.0, 2 * dim),
+            return cls(variant, theta=THETA_ELLIPSOID_CERT, gamma=gamma_opt(1.0, 2 * dim),
                        delta_term=delta_term)
         if variant == VARIANT_SUBGRAD_ELLIPSOID:
-            th = THETA_SUBGRAD_ELLIPSOID if theta is None else theta
+            th = THETA_SUBGRAD_ELLIPSOID
             return cls(variant, theta=th, gamma=gamma_opt(1.0, 2 * dim),
                        alpha_scale=math.sqrt(th / (th + 1.0)),
                        schedule=schedule or Schedule("decay"), delta_term=delta_term)

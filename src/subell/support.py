@@ -64,15 +64,14 @@ class DependentConstraints(ArithmeticError):
 class HalfspaceCut:
     """Halfspace ``{x : <normal, x> <= offset}``.
 
-    A zero normal is allowed only with a nonnegative offset (vacuous cut).
+    A zero normal with a nonnegative offset is the vacuous cut.  Nothing is
+    checked on construction: every reader norms a cut through ``_cut_norm``,
+    which raises ``SlaterViolation`` for a zero normal with a negative
+    offset, as for any cut that leaves no interior point.
     """
 
     normal: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        if self.offset < 0.0 and not np.any(self.normal):
-            raise SlaterViolation(f"zero-normal cut with negative offset {self.offset:g}")
 
 
 def _stationary(sHs, a1Hs, a2Hs, a1Ha1, a2Ha2, a1Ha2, b1, b2) -> tuple[float, float]:

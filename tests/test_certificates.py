@@ -429,6 +429,23 @@ class TestSemicertificateValidation:
         with pytest.raises(ValueError, match="weights"):
             certs.Semicertificate.from_weights(np.ones(2), res.records)
 
+    def test_gap_rejects_zero_mass(self):
+        prob = max_affine_ball(np.random.default_rng(20), 2)
+        _, res = _run(prob, iters=3)
+        cert = certs.Semicertificate.from_weights(np.zeros(3), res.records)
+        with pytest.raises(ValueError, match="weighted subgradient mass is zero"):
+            certs.gap(cert, res.records, prob.x0, prob.R)
+
+    @pytest.mark.parametrize("k,pathway,match", [
+        (0, certs.PRELIMINARY, "cannot certify 0 of 3 records"),
+        (2, "weekly", "unknown certificate pathway 'weekly'"),
+    ])
+    def test_checkpoint_rejects_what_it_cannot_start(self, k, pathway, match):
+        prob = max_affine_ball(np.random.default_rng(21), 2)
+        _, res = _run(prob, iters=3)
+        with pytest.raises(ValueError, match=match):
+            certs.Checkpoint.at(res.records, k, pathway)
+
 
 class TestHistoryOrList:
     """Every reader here takes a run's ``History`` or a plain list of

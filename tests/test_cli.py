@@ -165,6 +165,39 @@ def test_compare_emits_regime_report(problem_path, tmp_path, capsys):
     assert "crossover" in printed
 
 
+def test_compare_pads_a_variant_that_stopped_early(problem_path, tmp_path):
+    # with --epsilon the ellipsoid run stops on its gap threshold while the
+    # subgradient run goes on; its cells are empty from then on
+    out, solo = tmp_path / "cmp.csv", tmp_path / "ell.csv"
+    assert main(["compare", "--problem", problem_path, "--variants",
+                 "ellipsoid,subgradient", "--epsilon", "0.1", "--iters", "60",
+                 "--out", str(out)]) == 0
+    assert main(["solve", "--problem", problem_path, "--variant", "ellipsoid",
+                 "--epsilon", "0.1", "--iters", "60", "--out", str(solo)]) == 0
+    _, rows = _read_csv(out)
+    _, ell = _read_csv(solo)
+    stopped = len(ell)
+    assert stopped < len(rows) == 60
+    for row, want in zip(rows, ell):
+        assert row["ellipsoid_f"] == want["f_value"]
+        assert row["ellipsoid_R_k"] == want["R_k"]
+    for row in rows[stopped:]:
+        assert all(row[f"ellipsoid_{c}"] == "" for c in ("f", "sliding_gap", "avrad", "R_k"))
+        assert row["subgradient_f"] != ""
+
+
+@pytest.mark.parametrize("iters,line", [
+    (2, "crossover: k <= 1 (volume decay ahead from the start)"),
+    (5, "crossover: not reached within 5 iterations"),
+])
+def test_compare_reports_a_crossover_outside_the_run(problem_path, capsys, iters, line):
+    # on this problem the ellipsoid's volume decay is ahead of the 1/sqrt(k)
+    # pace at k = 1, behind at k = 4 and ahead for good from k = 8
+    assert main(["compare", "--problem", problem_path, "--variants", "ellipsoid",
+                 "--iters", str(iters)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+
+
 def test_environment_variables_feed_defaults(problem_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUBELL_PROBLEM", problem_path)
     monkeypatch.setenv("SUBELL_ITERS", "7")
@@ -257,6 +290,25 @@ def test_csv_writer_bytes_equal_joined_cells(tmp_path):
         assert subell.cli._fmt(value) == _reference_fmt(value), repr(value)
 
 
+def test_top_level_json_array_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert main(["solve", "--problem", str(path), "--iters", "5"]) == 2
+    assert "top-level JSON value must be an object" in capsys.readouterr().err
+
+
+def test_no_problem_file_exits_2(monkeypatch, capsys):
+    monkeypatch.delenv("SUBELL_PROBLEM", raising=False)
+    assert main(["solve", "--iters", "5"]) == 2
+    assert "no problem file given" in capsys.readouterr().err
+
+
+def test_zero_cadence_exits_2(problem_path, capsys):
+    assert main(["certify", "--problem", problem_path, "--iters", "5",
+                 "--cadence", "0"]) == 2
+    assert "cadence stride must be positive" in capsys.readouterr().err
+
+
 def test_unknown_variant_in_compare_fails_cleanly(problem_path, capsys):
     rc = main(["compare", "--problem", problem_path, "--variants", "sketchy",
                "--iters", "5"])
@@ -345,15 +397,22 @@ MUTATIONS = [
     ("radii-number", "saddle", ["set", "radii"], 1.0),
     ("centers-nan", "saddle", ["set", "centers", 0, 0], NAN),
     ("centers-missing", "saddle", ["set", "centers"], DELETE),
+    ("radius-zero", "max", ["set", "radius"], 0.0),
+    ("set-type-missing", "max", ["set", "type"], DELETE),
+    ("box-upper-below-lower", "box", ["set", "upper", 1], -1.0),
+    ("radii-zero", "saddle", ["set", "radii", 0], 0.0),
+    ("centers-three", "saddle", ["set", "centers"], [[0.0], [0.0], [0.0]]),
 ]
+# the problem each mutation starts from
+BASES = {"max": lambda rng: max_affine_ball(rng, 2),
+         "box": lambda rng: max_affine_box(rng, 2),
+         "saddle": lambda rng: saddle_problem(rng, 1, 1)}
 
 
 @pytest.mark.parametrize("kind,path,value",
                          [pytest.param(*m[1:], id=m[0]) for m in MUTATIONS])
 def test_malformed_problem_file_exits_2(tmp_path, capsys, kind, path, value):
-    rng = np.random.default_rng(3)
-    prob = max_affine_ball(rng, 2) if kind == "max" else saddle_problem(rng, 1, 1)
-    d = problem_to_dict(prob)
+    d = problem_to_dict(BASES[kind](np.random.default_rng(3)))
     node = d
     for key in path[:-1]:
         node = node[key]

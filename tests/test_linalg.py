@@ -189,3 +189,10 @@ def test_symmetrize():
     S = symmetrize(A)
     assert np.array_equal(S, S.T)
     assert S[0, 1] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetrize_does_not_overflow():
+    # (A + A^T) / 2 would overflow to inf
+    A = np.array([[1.0, 1.7e308], [1.7e308, 1.0]])
+    assert np.array_equal(symmetrize(A), A)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from subell.cli import main
 from subell.oracles import (
     Ball,
+    BallProduct,
     BilinearSaddle,
     Box,
     MaxAffine,
@@ -59,9 +61,11 @@ class TestSeparationBall:
             ys = _ball_points(rng, center, radius, 10_000)
             assert np.min((x - ys) @ resp.g) >= -1e-10
 
-    def test_interior_point_is_a_caller_bug(self):
-        with pytest.raises(ValueError):
-            Ball(np.zeros(2), 1.0).separator(np.zeros(2))
+    def test_interior_point_has_no_separator(self):
+        # the separator is the set's one interior test
+        ball = Ball(np.zeros(2), 1.0)
+        assert ball.separator(np.zeros(2)) is None
+        assert ball.separator(np.array([1.0 - 2.0 ** -52, 0.0])) is None
 
 
 class TestSeparationBox:
@@ -75,6 +79,13 @@ class TestSeparationBox:
         resp = Box(lo, hi).separator(np.array([2.0, 2.0]))
         assert np.array_equal(resp.g, np.array([1.0, 0.0]))
 
+    def test_interior_point_has_no_separator(self):
+        box = Box(-np.ones(2), np.ones(2))
+        assert box.separator(np.array([0.5, -1.0 + 2.0 ** -52])) is None
+        # the boundary is outside the open box
+        assert np.array_equal(box.separator(np.array([0.5, -1.0])).g,
+                              np.array([0.0, -1.0]))
+
     def test_separation_inequality_sampled(self):
         rng = np.random.default_rng(2)
         lo, hi = -np.ones(3), np.ones(3)
@@ -85,6 +96,26 @@ class TestSeparationBox:
             resp = Box(lo, hi).separator(x)
             ys = rng.uniform(-1, 1, (5000, 3))
             assert np.min((x - ys) @ resp.g) >= -1e-12
+
+
+class TestSeparationBallProduct:
+    PRODUCT = BallProduct(np.zeros(2), 1.0, np.ones(1), 0.5)
+
+    @pytest.mark.parametrize("x,want", [
+        ([0.1, 0.2, 1.1], None),
+        # the u-ball answers whenever u is not inside it, whatever v is
+        ([1.0, 0.0, 1.1], [1.0, 0.0, 0.0]),
+        ([3.0, 4.0, 9.0], [3.0, 4.0, 0.0]),
+        ([0.1, 0.2, 1.5], [0.0, 0.0, 0.5]),
+        # a NaN u is not at least the radius away, so the v-ball answers
+        ([math.nan, 0.0, 1.1], [0.0, 0.0, 0.10000000000000009]),
+    ], ids=["interior", "u-boundary", "both-outside", "v-outside", "u-nan"])
+    def test_answering_ball(self, x, want):
+        resp = self.PRODUCT.separator(np.array(x))
+        if want is None:
+            assert resp is None
+        else:
+            assert not resp.productive and np.array_equal(resp.g, np.array(want))
 
 
 class TestMaxAffineSubgradient:
@@ -289,23 +320,34 @@ class TestProblemFiles:
                 "objective": {"P": [[-1.0, 0], [0, 1.0]], "q": [0, 0]},
             })
 
+    HUGE_ROWS = {"rows": [{"a": [1e308, 0], "b": 0}, {"a": [-1, 0], "b": 0}]}
+
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("kind,payload,match", [
+    @pytest.mark.parametrize("kind,payload,extra,match", [
         # not monotone; 0.5 * (M + M^T) would overflow to -inf, and its
         # eigenvalues to NaN, which passes a "< -tol" test
-        ("vi-affine-monotone", {"M": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, "monotone"),
+        ("vi-affine-monotone", {"M": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, {},
+         "monotone"),
         # not convex, and would load with an infinite P
-        ("quadratic-over-ball", {"P": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, "convex"),
+        ("quadratic-over-ball", {"P": [[-1.7e308, 0], [0, 1]], "q": [0, 0]}, {},
+         "convex"),
         # indefinite, and would load with an infinite P
-        ("quadratic-over-ball", {"P": [[1, 1e308], [1e308, 1]], "q": [0, 0]}, "convex"),
+        ("quadratic-over-ball", {"P": [[1, 1e308], [1e308, 1]], "q": [0, 0]}, {},
+         "convex"),
         # convex, but the default V = sup|g| diam(Q) overflows
-        ("quadratic-over-ball", {"P": [[1.7e308, 0], [0, 1]], "q": [0, 0]}, "V = inf"),
+        ("quadratic-over-ball", {"P": [[1.7e308, 0], [0, 1]], "q": [0, 0]}, {},
+         "V = inf"),
+        # the step's g.Hg = |a|^2 would overflow, whether V is given or not
+        ("max-of-affine", HUGE_ROWS, {"V": 1}, "objective row 0 is too large"),
+        ("max-of-affine", HUGE_ROWS, {}, "objective row 0 is too large"),
     ], ids=["vi-M-overflows", "quadratic-P-overflows", "quadratic-indefinite-huge",
-            "quadratic-V-overflows"])
-    def test_overflowing_objective_exits_2(self, tmp_path, capsys, kind, payload, match):
+            "quadratic-V-overflows", "max-affine-row-overflows-with-V",
+            "max-affine-row-overflows"])
+    def test_overflowing_objective_exits_2(self, tmp_path, capsys, kind, payload,
+                                           extra, match):
         d = {"kind": kind, "dim": 2, "x0": [0.1, 0.0], "R": 1.0,
              "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
-             "objective": payload}
+             "objective": payload, **extra}
         with pytest.raises(ProblemFormatError, match=match):
             problem_from_dict(d)
         path = tmp_path / "p.json"

@@ -454,6 +454,15 @@ class TestRun:
         assert st.sigma == pytest.approx(short.state.sigma, rel=1e-14)
         assert st.log_det_H == pytest.approx(short.state.log_det_H, rel=1e-12, abs=1e-15)
 
+    def test_history_and_replay_reject_what_they_cannot_give(self):
+        prob = max_affine_ball(np.random.default_rng(19), 3)
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", 3)
+        res = run(prob, config, 5)
+        with pytest.raises(ValueError, match="step 1 only"):
+            res.records[::2]
+        with pytest.raises(ValueError, match=r"checkpoint 6 outside the recorded range \[0, 5\]"):
+            reconstruct_state(prob, res.records, 6, res.state)
+
 
 class TestRateMachinery:
     def test_radius_growth_without_alpha(self):
@@ -564,14 +573,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown variant"):
             StrategyConfig.for_variant("newton", 3)
 
-    def test_theta_override_is_exposed(self):
-        # only the preset values are documented as supported, but the knob
-        # exists for experimentation
-        cfg = StrategyConfig.for_variant("ellipsoid-cert", 4, theta=0.3)
-        assert cfg.theta == 0.3
-        cfg = StrategyConfig.for_variant("subgrad-ellipsoid", 4, theta=0.3,
-                                         schedule=Schedule("decay"))
-        assert cfg.alpha_scale == pytest.approx(math.sqrt(0.3 / 1.3))
+    @pytest.mark.parametrize("kind,match", [
+        ("const", "const schedule needs a horizon K >= 1"),
+        ("weekly", "unknown schedule kind 'weekly'"),
+    ])
+    def test_schedule_rejects_unknown_kind_or_missing_horizon(self, kind, match):
+        with pytest.raises(ValueError, match=match):
+            Schedule(kind)
 
     def test_parameter_presets(self):
         cfg = StrategyConfig.for_variant("ellipsoid", 5)

@@ -165,6 +165,14 @@ class TestTau:
         with pytest.raises(SlaterViolation):
             dual_multipliers(H, np.ones(2), HalfspaceCut(a, -2.0), _vacuous(2))
 
+    def test_rejects_zero_normal_cut_where_it_is_normed(self):
+        # the empty halfspace 0.x <= -1 is made freely and rejected in use
+        cut = HalfspaceCut(np.zeros(2), -1.0)
+        with pytest.raises(SlaterViolation, match="zero-normal cut"):
+            dual_multipliers(np.eye(2), np.ones(2), cut, _vacuous(2))
+        with pytest.raises(SlaterViolation, match="zero-normal cut"):
+            support_value_xi(np.eye(2), np.ones(2), cut)
+
 
 class TestSupportValue:
     def test_vacuous_cut_gives_dual_norm(self):

@@ -6,15 +6,17 @@ Usage::
 
 Writes problem 0 of the benchmark's seed 1 at n = 10, 30, 60, 100 and 400
 (``perfbench/generate.py`` of this checkout, imported without writing
-bytecode), a small bilinear saddle problem and a small affine monotone
-variational inequality, both drawn from a fixed seed, runs the same eight
-``subell`` commands against the ``src/`` of each tree with one BLAS thread,
-and compares every output file and each command's stdout byte for byte.
-Besides the benchmark's five commands, a terminal ``certify`` covers the
-terminal certificate pathway, a saddle ``solve`` covers trace rows with
-empty cells (no ``f_value``), and a VI ``certify`` covers a run whose
-``<c, z - x>`` and ``<c, Hc>`` differ in the last bits, which the
-benchmark's max-of-affine problems do not show.  Only the
+bytecode), a small bilinear saddle problem, a small affine monotone
+variational inequality and a max-of-affine problem over a box, each drawn
+from a fixed seed, runs the same nine ``subell`` commands against the
+``src/`` of each tree with one BLAS thread, and compares every output file
+and each command's stdout byte for byte.  Besides the benchmark's five
+commands, a terminal ``certify`` covers the terminal certificate pathway,
+a saddle ``solve`` covers trace rows with empty cells (no ``f_value``), a
+VI ``certify`` covers a run whose ``<c, z - x>`` and ``<c, Hc>`` differ in
+the last bits, which the benchmark's max-of-affine problems do not show,
+and a box ``certify`` covers the box's separator, whose minimizer lies
+outside the box so that many steps separate.  Only the
 ``wall_time_us`` column of trace CSVs and the ``problem:`` line of
 summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
 output and exits 1 on any DIFF.  Under a DIFF in a certificate file
@@ -59,6 +61,8 @@ COMMANDS = (
                                       "--iters", "500")),
     ("certify-vi-n6", "vi-n6", ("certify", "--variant", "subgrad-ellipsoid",
                                 "--iters", "200", "--cadence", "25")),
+    ("certify-box-n8", "box-n8", ("certify", "--variant", "subgrad-ellipsoid",
+                                  "--iters", "400", "--cadence", "50")),
 )
 
 
@@ -106,11 +110,32 @@ def _vi_problem(n: int = 6) -> dict:
     }
 
 
+def _box_problem(n: int = 8, m: int = 16) -> dict:
+    """Description of max_i <a_i, x - p> over the box [-0.5, 0.5]^n, with
+    slopes of zero mean, so that f >= 0 with its minimum 0 at
+    p = (1, 0, ..., 0), outside the box; started at the center."""
+    rng = np.random.default_rng([SEED, n])
+    A = rng.standard_normal((m, n))
+    A -= A.mean(axis=0)
+    p = np.zeros(n)
+    p[0] = 1.0
+    return {
+        "kind": "max-of-affine",
+        "dim": n,
+        "x0": [0.0] * n,
+        "R": 2.0,
+        "set": {"type": "box", "lower": [-0.5] * n, "upper": [0.5] * n},
+        "objective": {"rows": [{"a": a.tolist(), "b": float(-(a @ p))} for a in A]},
+    }
+
+
 def _problem(name: str, generate) -> dict:
     if name == "saddle-n6":
         return _saddle_problem()
     if name == "vi-n6":
         return _vi_problem()
+    if name == "box-n8":
+        return _box_problem()
     return generate.max_affine_ball(SEED, int(name.rsplit("-n", 1)[1]), 0)
 
 
