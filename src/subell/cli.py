@@ -230,7 +230,7 @@ def cmd_certify(args) -> int:
     result = run(problem, config, args.iters)
     records = result.records
     total = len(records)
-    terminal = result.termination in ("gap-threshold", "zero-subgradient")
+    terminal = result.termination != "max-iter"
 
     # the checkpoints and their pathways; only the min-width pathway needs a
     # checkpoint's state, replayed in one chain, each from the previous one

@@ -195,11 +195,11 @@ class MaxAffine:
     offsets: np.ndarray  # m intercepts
 
     def value_and_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """f(x) and the first maximizing row, from one product A x: the
-        smallest-index tie-break keeps runs deterministic."""
+        """f(x) and the first maximizing row of ``A`` itself, from one product
+        A x: the smallest-index tie-break keeps runs deterministic."""
         v = self.A @ x + self.offsets
         j = int(v.argmax())
-        return float(v[j]), self.A[j].copy()
+        return float(v[j]), self.A[j]
 
     def max_slope_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.A, axis=1)))
@@ -318,7 +318,7 @@ class Problem:
 
 
 def _vec(obj, dim: int, name: str) -> np.ndarray:
-    return _array(obj, (dim,), name)
+    return _square_finite(_array(obj, (dim,), name), name, f"|{name}|")
 
 
 def _num(obj, name: str) -> float:
@@ -352,6 +352,19 @@ def _array(obj, shape: tuple[int, ...], name: str) -> np.ndarray:
     return m
 
 
+def _square_finite(m: np.ndarray, name: str, square: str) -> np.ndarray:
+    """``m``, a vector or a matrix, once its squared norm (each row's, for a
+    matrix) is a finite float; otherwise an error naming the field and row.
+    The load checks and the solver form such squares (``R^2``, the norms of
+    points, ``g.Hg``); one that overflowed would fail far from its field."""
+    with np.errstate(over="ignore"):
+        huge = np.flatnonzero(~np.isfinite(np.einsum("...i,...i", m, m)))
+    if huge.size:
+        where = f"{name} {huge[0]}" if m.ndim == 2 else name
+        raise ProblemFormatError(f"{where} is too large: {square}^2 is not a finite float")
+    return m
+
+
 def _parse_set(d: dict, kind: str, dim: int):
     set_type = d["type"]
     if kind == KIND_SADDLE:
@@ -360,7 +373,7 @@ def _parse_set(d: dict, kind: str, dim: int):
         centers = d["centers"]
         if not isinstance(centers, list) or len(centers) != 2:
             raise ProblemFormatError("ball-product needs a list of two centers")
-        cu, cv = (_array(c, (np.size(c),), "set.centers") for c in centers)
+        cu, cv = (_vec(c, np.size(c), "set.centers") for c in centers)
         if cu.size + cv.size != dim:
             raise ProblemFormatError("ball-product centers must split the full dimension")
         ru, rv = _array(d["radii"], (2,), "set.radii")
@@ -390,12 +403,7 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         A = _array([r["a"] for r in rows], (len(rows), dim), "row.a")
         offs = _array([r["b"] for r in rows], (len(rows),), "row.b")
         # the step forms g.Hg, which is |a|^2 at the start
-        with np.errstate(over="ignore"):
-            huge = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", A, A)))
-        if huge.size:
-            raise ProblemFormatError(
-                f"objective row {huge[0]} is too large: |a|^2 is not a finite float")
-        return MaxAffine(A, offs)
+        return MaxAffine(_square_finite(A, "objective row", "|a|"), offs)
     if kind == KIND_QUADRATIC:
         P = symmetrize(_array(d["P"], (dim, dim), "P"))
         if float(np.linalg.eigvalsh(P)[0]) < -MONOTONE_TOL:
@@ -403,12 +411,16 @@ def _parse_objective(d: dict, kind: str, dim: int, feasible):
         return ConvexQuadratic(P, _vec(d["q"], dim, "q"))
     if kind == KIND_SADDLE:
         nu = feasible.dim_u
-        return BilinearSaddle(_array(d["M"], (nu, dim - nu), "M"))
+        M = _array(d["M"], (nu, dim - nu), "M")
+        # the field stacks M v and M^T u
+        _square_finite(M, "M row", "|row|")
+        _square_finite(M.T, "M column", "|column|")
+        return BilinearSaddle(M)
     # the last of KINDS, which _problem_from_dict has checked
     M = _array(d["M"], (dim, dim), "M")
     if float(np.linalg.eigvalsh(symmetrize(M))[0]) < -MONOTONE_TOL:
         raise ProblemFormatError("operator is not monotone (M + M^T has a negative eigenvalue)")
-    return MonotoneAffineField(M, _vec(d["q"], dim, "q"))
+    return MonotoneAffineField(_square_finite(M, "M row", "|row|"), _vec(d["q"], dim, "q"))
 
 
 def _default_variation_bound(kind: str, objective, feasible, x0: np.ndarray, R: float) -> float:
@@ -445,8 +457,7 @@ def _problem_from_dict(d: dict) -> Problem:
     dim = int(dim)
     if R <= 0:
         raise ProblemFormatError("R must be positive")
-    if not math.isfinite(R * R):
-        raise ProblemFormatError(f"R = {R:g} is too large: R^2 is not a finite float")
+    _square_finite(np.array([R]), f"R = {R:g}", "R")
     x0 = _vec(d["x0"], dim, "x0")
     feasible = _parse_set(_obj(d.get("set", {}), "set"), kind, dim)
     objective = _parse_objective(_obj(d.get("objective", {}), "objective"),

@@ -7,7 +7,8 @@ weight mass ``Gamma_k``:
 1. query the composed oracle for ``g_k``;
 2. compute ``U_k``, the support of ``g_k`` over the current localizer
    (the ellipsoid given by ``(z_k, D_k)`` intersected with the halfspace
-   ``<c_k, x> <= sigma_k``), and stop if ``U_k <= delta |g_k|``;
+   ``<c_k, x> <= sigma_k``), and stop if ``U_k <= delta |g_k|``, naming
+   the ending ``"gap-threshold"``, or ``"zero-subgradient"`` if ``g_k = 0``;
 3. pick step weights ``a_k = (alpha_k R + theta gamma R_k / 2) / |g_k|_k``
    and ``b_k = gamma / |g_k|_k^2`` where ``|g|_k^2 = g.H_k g``;
 4. shift the point along ``H_k g_k``, apply the rank-one inverse update to
@@ -25,13 +26,13 @@ certificate backward pass (module ``certificates``) needs; it holds O(n)
 numbers per step and no operator.  A run keeps it stacked, as a
 ``History``: the n-wide rows and the scalars of ``HistoryRecord`` per
 step, the products of ``U_k`` among them, in blocks stacked once when
-full.  Step 4 is stated once, in ``_advance``: ``step`` applies it to its
-own products and ``reconstruct_state`` to the stacked rows, and
-``HistoryRecord.H`` replays its rank-one part (``_rank_one_update``) over
-the same rows, so a replayed state or operator equals the run's own bit
-for bit.  A ``D_k`` or sliding-gap
-``<c, Hc>`` outside ``[0, inf)`` goes through ``linalg.nonneg``, and a
-nonterminal step with ``g.Hg <= 0`` raises ``PositiveDefinitenessLost``.
+full or first read.  Step 4 is stated once, in ``_advance``: ``step``
+applies it to its own products and ``reconstruct_state`` to the stacked
+rows, and ``HistoryRecord.H`` replays its rank-one part
+(``_rank_one_update``) over the same rows, so a replayed state or operator
+equals the run's own bit for bit.  A ``D_k`` or sliding-gap ``<c, Hc>``
+outside ``[0, inf)`` goes through ``linalg.nonneg``, and a nonterminal
+step with ``g.Hg <= 0`` raises ``PositiveDefinitenessLost``.
 """
 
 from __future__ import annotations
@@ -130,39 +131,29 @@ class StrategyConfig:
     theta: float
     gamma: float
     alpha_scale: float = 0.0
-    schedule: Optional[Schedule] = None
+    schedule: Schedule = Schedule("decay")
     delta_term: float = 0.0
 
     def alpha(self, k: int) -> float:
-        if self.alpha_scale == 0.0:
-            return 0.0
         return self.alpha_scale * self.schedule.beta(k)
 
     @classmethod
-    def for_variant(
-        cls,
-        variant: str,
-        dim: int,
-        schedule: Optional[Schedule] = None,
-        delta_term: float = 0.0,
-    ) -> "StrategyConfig":
+    def for_variant(cls, variant: str, dim: int, schedule: Schedule = Schedule("decay"),
+                    delta_term: float = 0.0) -> "StrategyConfig":
         if variant == VARIANT_SUBGRADIENT:
-            return cls(variant, theta=0.0, gamma=0.0, alpha_scale=1.0,
-                       schedule=schedule or Schedule("decay"), delta_term=delta_term)
-        if variant == VARIANT_ELLIPSOID:
+            theta, gamma, alpha_scale = 0.0, 0.0, 1.0
+        elif variant == VARIANT_ELLIPSOID:
             if dim < 2:
                 raise ValueError("the standard ellipsoid strategy needs dim >= 2")
-            return cls(variant, theta=0.0, gamma=gamma_opt(0.5, dim),
-                       delta_term=delta_term)
-        if variant == VARIANT_ELLIPSOID_CERT:
-            return cls(variant, theta=THETA_ELLIPSOID_CERT, gamma=gamma_opt(1.0, 2 * dim),
-                       delta_term=delta_term)
-        if variant == VARIANT_SUBGRAD_ELLIPSOID:
-            th = THETA_SUBGRAD_ELLIPSOID
-            return cls(variant, theta=th, gamma=gamma_opt(1.0, 2 * dim),
-                       alpha_scale=math.sqrt(th / (th + 1.0)),
-                       schedule=schedule or Schedule("decay"), delta_term=delta_term)
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+            theta, gamma, alpha_scale = 0.0, gamma_opt(0.5, dim), 0.0
+        elif variant == VARIANT_ELLIPSOID_CERT:
+            theta, gamma, alpha_scale = THETA_ELLIPSOID_CERT, gamma_opt(1.0, 2 * dim), 0.0
+        elif variant == VARIANT_SUBGRAD_ELLIPSOID:
+            theta, gamma = THETA_SUBGRAD_ELLIPSOID, gamma_opt(1.0, 2 * dim)
+            alpha_scale = math.sqrt(theta / (theta + 1.0))
+        else:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return cls(variant, theta, gamma, alpha_scale, schedule, delta_term)
 
 
 @dataclass(slots=True)
@@ -242,9 +233,9 @@ class _Rows:
     """The rows of one ``History`` and of every view of it.
 
     The records of the block being filled are kept as they are; when
-    ``BLOCK_ROWS`` of them have arrived, or the run stops, each field of
-    theirs is stacked into one array, so growing never copies a stacked
-    row.  A field is stacked by joining the bytes of the records' own
+    ``BLOCK_ROWS`` of them have arrived, or the rows are first read, each
+    field of theirs is stacked into one array, so growing never copies a
+    stacked row.  A field is stacked by joining the bytes of the records' own
     vectors, which costs far less per step than numpy's generic stacking;
     ``step`` makes every vector of a record a contiguous float64 array.
     Reading merges the stacked blocks into one array per field, once.
@@ -266,8 +257,8 @@ class _Rows:
             self.close()
 
     def close(self) -> None:
-        """Stack the records of the open block; a history without steps
-        gets one empty block."""
+        """Stack the open block (each full one on ``append``, the last on
+        first read); a history without steps gets one empty block."""
         if self.open or not self.blocks:
             records, k = self.open, len(self.open)
             block = {name: np.frombuffer(b"".join(map(attrgetter(name), records)),
@@ -368,11 +359,6 @@ class History:
     def append(self, record: HistoryRecord) -> None:
         """Record one more step of the run."""
         self._rows.append(record)
-
-    def close(self) -> None:
-        """Stack the steps still held as records; a run closes its history
-        when it stops, so that a kept history holds only stacked rows."""
-        self._rows.close()
 
     def __len__(self) -> int:
         return (self._rows.count if self._hi is None else self._hi) - self._lo
@@ -489,7 +475,7 @@ def _advance(state: SolverState, g: np.ndarray, hg: np.ndarray, a: float,
 
 
 def step(state: SolverState, response: OracleResponse,
-         config: StrategyConfig) -> tuple[SolverState, HistoryRecord, bool]:
+         config: StrategyConfig) -> tuple[SolverState, HistoryRecord, Optional[str]]:
     """One iteration: record, test termination, update.
 
     ``U_k`` is the support of ``g_k`` over the localizer, and the step
@@ -497,12 +483,13 @@ def step(state: SolverState, response: OracleResponse,
     ``b_k = gamma / |g_k|_k^2``; the record carries all three.  Each product
     is formed once, here or in the localizer, and recorded; a numerical
     failure (an ``ArithmeticError``) in ``U_k`` says "in U at k = K".  Returns
-    ``(new_state, record, terminal)``; the record is a fresh mutable
-    dataclass that shares the state's ``x`` and ``c`` arrays, which nothing
-    writes to, and ``state`` is left untouched.  On a terminal iteration
-    (U_k <= delta |g_k|, which a zero oracle vector always meets) the
-    weights are zero and the state is returned unchanged; otherwise the new
-    state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
+    ``(new_state, record, ending)``; the record is a fresh mutable
+    dataclass that owns its ``g``, the one copy of the oracle's vector, and
+    shares the state's ``x`` and ``c``, which nothing writes to; ``state``
+    is left untouched.  ``ending`` is ``"gap-threshold"`` if U_k <= delta
+    |g_k|, ``"zero-subgradient"`` if so because g_k = 0 (an exact solution),
+    with zero weights and the state returned unchanged; otherwise None, and
+    the new state is ``_advance`` of the record's fields (g.Hg <= 0 raises).
     """
     g = response.g.astype(float)
     z, D, cHc, cz = _localizer(state)
@@ -520,8 +507,9 @@ def step(state: SolverState, response: OracleResponse,
     # sqrt(g.dot(g))
     gnorm = math.sqrt(float(g @ g))
 
-    terminal = U <= config.delta_term * gnorm
-    if terminal:
+    ending = None
+    if U <= config.delta_term * gnorm:
+        ending = "gap-threshold" if g.any() else "zero-subgradient"
         a = b = 0.0
     elif not t > 0.0:
         raise PositiveDefinitenessLost(
@@ -535,9 +523,9 @@ def step(state: SolverState, response: OracleResponse,
     # can share them
     record = HistoryRecord(state.x, g, a, b, hg, z, D, state.c, state.sigma, U,
                            response.productive, gnorm, t, cHc, cz, cHg, gxz)
-    if terminal:
-        return state, record, True
-    return _advance(state, g, hg, a, b, U, gnorm, t), record, False
+    if ending:
+        return state, record, ending
+    return _advance(state, g, hg, a, b, U, gnorm, t), record, None
 
 
 def sliding_gap(state: SolverState, *, localizer=None) -> float:
@@ -596,37 +584,36 @@ def run(problem: Problem, config: StrategyConfig, max_iter: int,
         collect_trace: bool = True, keep_operators: bool = False) -> RunResult:
     """Drive the scheme against the composed oracle of a problem.
 
-    Stops at ``max_iter``, at the gap test ``U_k <= delta_term |g_k|``, or
-    when the oracle reports a zero vector (the test point is then an exact
-    solution; the trailing history record carries it with unit certificate
-    weight semantics).  ``step`` forms the localizer once per iteration, and
-    the trace row reads its sliding gap from the record.
+    The termination is ``"max-iter"``, or the ending the last step names:
+    ``"gap-threshold"`` (``U_k <= delta_term |g_k|``) or
+    ``"zero-subgradient"`` (the test point is an exact solution; the
+    trailing history record carries it with unit certificate weight
+    semantics).  ``step`` forms the localizer once per iteration, and the
+    trace row reads its sliding gap from the record.
 
     The history holds O(n) numbers per step and no operator: ``run`` appends
-    the fields of each record ``step`` makes to a ``History``, and
-    ``record.H`` of a record read from it replays its operator on demand.
-    ``keep_operators`` is accepted for older callers and ignored.
+    each record ``step`` makes to a ``History``, and ``record.H`` of a
+    record read from it replays its operator on demand.  ``keep_operators``
+    is accepted for older callers and ignored.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     state = initial_state(problem)
     rows: list[TraceRow] = []
     records = History(problem.dim)
-    termination = "max-iter"
     for _ in range(max_iter):
         t_start = time.perf_counter()
         resp = problem.oracle(state.x)
-        new_state, record, terminal = step(state, resp, config)
+        new_state, record, ending = step(state, resp, config)
         records.append(record)
         if collect_trace:
             rows.append(_trace_row(problem, config, state, resp, record,
                                    time.perf_counter() - t_start))
-        if terminal:
-            termination = "gap-threshold" if np.any(resp.g) else "zero-subgradient"
+        if ending:
             break
         state = new_state
-    records.close()
-    return RunResult(rows=rows, records=records, state=state, termination=termination)
+    return RunResult(rows=rows, records=records, state=state,
+                     termination=ending or "max-iter")
 
 
 def reconstruct_state(problem: Problem, records: Sequence[HistoryRecord],

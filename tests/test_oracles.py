@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,15 +341,55 @@ class TestProblemFiles:
         # the step's g.Hg = |a|^2 would overflow, whether V is given or not
         ("max-of-affine", HUGE_ROWS, {"V": 1}, "objective row 0 is too large"),
         ("max-of-affine", HUGE_ROWS, {}, "objective row 0 is too large"),
+        # the field (M v, -M^T u) would have an infinite |g|^2; a given V
+        # skips the default bound, which overflows too
+        ("saddle-bilinear", {"M": [[1e308]]},
+         {"V": 1, "set": {"type": "ball-product", "centers": [[0], [0]],
+                          "radii": [0.5, 0.5]}}, "M row 0 is too large"),
+        # every row of M is finite in square, its column is not
+        ("saddle-bilinear", {"M": [[1.1e154], [1.1e154]]},
+         {"V": 1, "dim": 3, "x0": [0.1, 0, 0],
+          "set": {"type": "ball-product", "centers": [[0, 0], [0]],
+                  "radii": [0.5, 0.5]}}, "M column 0 is too large"),
+        # monotone, but the field M x0 + q has an infinite |g|^2
+        ("vi-affine-monotone", {"M": [[1, 0], [0, 1e308]], "q": [0, 0]}, {"V": 1},
+         "M row 1 is too large"),
+        ("vi-affine-monotone", {"M": [[1, 0], [0, 1]], "q": [0, -1e308]}, {"V": 1},
+         "q is too large"),
     ], ids=["vi-M-overflows", "quadratic-P-overflows", "quadratic-indefinite-huge",
             "quadratic-V-overflows", "max-affine-row-overflows-with-V",
-            "max-affine-row-overflows"])
+            "max-affine-row-overflows", "saddle-M-row-overflows",
+            "saddle-M-column-overflows", "vi-M-row-overflows", "vi-q-overflows"])
     def test_overflowing_objective_exits_2(self, tmp_path, capsys, kind, payload,
                                            extra, match):
         d = {"kind": kind, "dim": 2, "x0": [0.1, 0.0], "R": 1.0,
              "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
              "objective": payload, **extra}
         with pytest.raises(ProblemFormatError, match=match):
+            problem_from_dict(d)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["solve", "--problem", str(path), "--iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,value,match", [
+        ("x0", [1e308, 0], "x0 is too large: |x0|^2"),
+        ("x0", [0, -1e308], "x0 is too large"),
+        ("set", {"type": "ball", "center": [1e308, 0], "radius": 0.5},
+         "set.center is too large"),
+        ("set", {"type": "box", "lower": [-0.5, -1e308], "upper": [0.5, 0.5]},
+         "set.lower is too large"),
+        ("xstar", [-1e308, 0], "xstar is too large"),
+    ], ids=["x0", "x0-negative", "ball-center", "box-lower", "xstar"])
+    def test_overflowing_point_exits_2(self, tmp_path, capsys, key, value, match):
+        # each point's squared norm is checked where it is read, so the
+        # message names the field, and no distance overflows on the way
+        d = {"kind": "max-of-affine", "dim": 2, "x0": [0.1, 0.0], "R": 1.0,
+             "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
+             "objective": {"rows": [{"a": [1, 0], "b": 0.0}]}, key: value}
+        with pytest.raises(ProblemFormatError, match=re.escape(match)):
             problem_from_dict(d)
         path = tmp_path / "p.json"
         path.write_text(json.dumps(d), encoding="utf-8")

@@ -593,6 +593,19 @@ class TestConfig:
         assert cfg.theta == pytest.approx(th)
         assert cfg.alpha_scale == pytest.approx(math.sqrt(th / (th + 1)))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_strategy_keeps_its_schedule(self, variant):
+        # the schedule is never None, and a strategy without alpha steps
+        # still has one, whose alpha is 0.0 at every k
+        s = Schedule("const", 7)
+        cfg = StrategyConfig.for_variant(variant, 3, schedule=s)
+        assert cfg.schedule is s
+        assert StrategyConfig.for_variant(variant, 3).schedule == Schedule("decay")
+        if variant in ("ellipsoid", "ellipsoid-cert"):
+            for k in (0, 1, 6, 100):
+                assert cfg.alpha(k) == 0.0
+                assert math.copysign(1.0, cfg.alpha(k)) == 1.0
+
 
 def _quadratic_ball(rng, n):
     return problem_from_dict({
@@ -643,15 +656,18 @@ class TestLeanHistory:
         state = initial_state(prob)
         states, stepped = [state], []
         for _ in range(iters):
-            state, rec, terminal = step(state, prob.oracle(state.x), config)
+            state, rec, ending = step(state, prob.oracle(state.x), config)
+            assert ending in (None, "gap-threshold", "zero-subgradient")
             stepped.append(rec)
-            if terminal:
+            if ending:
                 break
             states.append(state)
         with pytest.raises(ValueError, match="made by run"):
             stepped[0].H
 
         lean = run(prob, config, iters)
+        # run ends as the step loop did, and names the ending as the step
+        assert lean.termination == (ending or "max-iter")
         kept = run(prob, config, iters, keep_operators=True)
         for a, b in zip(kept.rows, lean.rows):
             assert replace(b, wall_time_us=0.0) == replace(a, wall_time_us=0.0)
@@ -725,6 +741,7 @@ class TestLeanHistory:
         config = StrategyConfig.for_variant("ellipsoid-cert", 2, delta_term=0.25)
         lean = self._assert_lean_matches_full(prob, config, 500)
         assert lean.termination == "gap-threshold"
+        assert lean.records[-1].g.any()
 
     def test_zero_subgradient_stop(self):
         prob = problem_from_dict({
@@ -736,6 +753,33 @@ class TestLeanHistory:
                                             schedule=Schedule("decay"))
         lean = self._assert_lean_matches_full(prob, config, 10)
         assert lean.termination == "zero-subgradient"
+        # the first step meets the gap test with a zero vector, and names
+        # that ending itself
+        state = initial_state(prob)
+        new_state, rec, ending = step(state, prob.oracle(state.x), config)
+        assert ending == "zero-subgradient" and new_state is state
+        assert not rec.g.any() and rec.a == rec.b == 0.0
+
+    @pytest.mark.parametrize("family", ["max-affine-ball", "max-affine-box"])
+    def test_one_copy_of_each_subgradient(self, family):
+        # the oracle hands out a row of A itself, and the step copies it
+        # once, into the record it makes; no record of a bare step loop or
+        # of a run shares memory with A
+        prob = FAMILIES[family](np.random.default_rng(54))
+        A = prob.objective.A
+        config = StrategyConfig.for_variant("subgrad-ellipsoid", prob.dim)
+        state, stepped, viewed = initial_state(prob), [], 0
+        for _ in range(40):
+            resp = prob.oracle(state.x)
+            viewed += resp.productive and np.shares_memory(resp.g, A)
+            state, rec, ending = step(state, resp, config)
+            stepped.append(rec)
+            assert rec.g.flags.c_contiguous and rec.g.dtype == np.float64
+            if ending:
+                break
+        assert viewed == sum(rec.productive for rec in stepped) > 0
+        for records in (stepped, run(prob, config, 40).records):
+            assert not any(np.shares_memory(rec.g, A) for rec in records)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("family", ["max-affine-ball", "max-affine-box"])

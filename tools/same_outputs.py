@@ -8,24 +8,27 @@ Writes problem 0 of the benchmark's seed 1 at n = 10, 30, 60, 100 and 400
 (``perfbench/generate.py`` of this checkout, imported without writing
 bytecode), a small bilinear saddle problem, a small affine monotone
 variational inequality and a max-of-affine problem over a box, each drawn
-from a fixed seed, runs the same nine ``subell`` commands against the
-``src/`` of each tree with one BLAS thread, and compares every output file
-and each command's stdout byte for byte.  Besides the benchmark's five
-commands, a terminal ``certify`` covers the terminal certificate pathway,
-a saddle ``solve`` covers trace rows with empty cells (no ``f_value``), a
-VI ``certify`` covers a run whose ``<c, z - x>`` and ``<c, Hc>`` differ in
-the last bits, which the benchmark's max-of-affine problems do not show,
-and a box ``certify`` covers the box's separator, whose minimizer lies
-outside the box so that many steps separate.  Only the
-``wall_time_us`` column of trace CSVs and the ``problem:`` line of
-summaries are left out of the comparison.  Prints ``same`` or ``DIFF`` per
-output and exits 1 on any DIFF.  Under a DIFF in a certificate file
-(``.certs.json`` or ``.certs.csv``) one more line says how far the
-command's certificates moved, read from its two ``.certs.json``: whether
-every checkpoint keeps its support, the largest weight change relative to
-the checkpoint's largest weight, and the largest relative gap change.  A command that exits non-zero on either
-tree is printed as ``FAIL <command> (<tree>)`` and also makes the exit code 1,
-even when both trees fail alike.
+from a fixed seed, and a small max-of-affine problem with a zero row.  It
+runs the same ten ``subell`` commands against the ``src/`` of each tree
+with one BLAS thread, and compares every output file and each command's
+stdout byte for byte.  Besides the benchmark's five commands, a terminal
+``certify`` covers the terminal certificate pathway, a saddle ``solve``
+covers trace rows with empty cells (no ``f_value``), a VI ``certify``
+covers a run whose ``<c, z - x>`` and ``<c, Hc>`` differ in the last bits,
+which the benchmark's max-of-affine problems do not show, a box
+``certify`` covers the box's separator, whose minimizer lies outside the
+box so that many steps separate, and a ``certify`` on the problem with a
+zero row covers a run that ends on a zero subgradient, with preliminary
+checkpoints before its terminal one.  Only the ``wall_time_us`` column of
+trace CSVs and the ``problem:`` line of summaries are left out of the
+comparison.  Prints ``same`` or ``DIFF`` per output and exits 1 on any
+DIFF.  Under a DIFF in a certificate file (``.certs.json`` or
+``.certs.csv``) one more line says how far the command's certificates
+moved, read from its two ``.certs.json``: whether every checkpoint keeps
+its support, the largest weight change relative to the checkpoint's
+largest weight, and the largest relative gap change.  A command that exits
+non-zero on either tree is printed as ``FAIL <command> (<tree>)`` and also
+makes the exit code 1, even when both trees fail alike.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ COMMANDS = (
                                 "--iters", "200", "--cadence", "25")),
     ("certify-box-n8", "box-n8", ("certify", "--variant", "subgrad-ellipsoid",
                                   "--iters", "400", "--cadence", "50")),
+    ("certify-zero-n4", "zero-n4", ("certify", "--variant", "ellipsoid-cert",
+                                    "--iters", "200", "--cadence", "2")),
 )
 
 
@@ -129,6 +134,21 @@ def _box_problem(n: int = 8, m: int = 16) -> dict:
     }
 
 
+def _zero_problem() -> dict:
+    """Description of max(0, x_1 + x_2 / 2) over the ball of radius 0.5 at
+    0 in R^4, started at (0.3, 0, 0, 0): the oracle answers with the zero
+    row once a test point has x_1 + x_2 / 2 <= 0, an exact solution."""
+    return {
+        "kind": "max-of-affine",
+        "dim": 4,
+        "x0": [0.3, 0.0, 0.0, 0.0],
+        "R": 1.0,
+        "set": {"type": "ball", "center": [0.0] * 4, "radius": 0.5},
+        "objective": {"rows": [{"a": [0.0] * 4, "b": 0.0},
+                               {"a": [1.0, 0.5, 0.0, 0.0], "b": 0.0}]},
+    }
+
+
 def _problem(name: str, generate) -> dict:
     if name == "saddle-n6":
         return _saddle_problem()
@@ -136,6 +156,8 @@ def _problem(name: str, generate) -> dict:
         return _vi_problem()
     if name == "box-n8":
         return _box_problem()
+    if name == "zero-n4":
+        return _zero_problem()
     return generate.max_affine_ball(SEED, int(name.rsplit("-n", 1)[1]), 0)
 
 
