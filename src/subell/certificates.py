@@ -75,7 +75,7 @@ class Semicertificate:
             raise ValueError("certificate weights must be nonnegative")
         return cls(
             weights=weights,
-            gamma_weighted=float(weights @ history.array("gnorm")),
+            gamma_weighted=float(weights.dot(history.array("gnorm"))),
             productive_weight=float(weights[history.array("productive")].sum()),
         )
 
@@ -90,9 +90,9 @@ def _ball_max(weights: np.ndarray, records: Sequence[HistoryRecord],
     with w = sum(lambda_i g_i), it is sum(lambda_i <g_i, x_i>) - <w, x0> + R|w|."""
     history = History.of(records)
     G = history.array("g")
-    w = weights @ G
-    val = float(weights @ np.einsum("ij,ij->i", G, history.array("x")))
-    return val - float(w @ x0) + R * float(np.linalg.norm(w))
+    w = weights.dot(G)
+    val = float(weights.dot(np.einsum("ij,ij->i", G, history.array("x"))))
+    return val - float(w.dot(x0)) + R * float(np.linalg.norm(w))
 
 
 def gap(cert: Semicertificate, records: Sequence[HistoryRecord],
@@ -128,7 +128,7 @@ def _column(history: History, k: int, s: np.ndarray,
     ``H_{k-1} = H_k + beta (Hg)(Hg)^T``, ``beta = b / (1 + b g.Hg)``."""
     if k > 0 and (rec := history[k - 1]).b != 0.0:
         beta = rec.b / (1.0 + rec.b * rec.gHg)
-        hs += (beta * float(rec.Hg @ s)) * rec.Hg
+        hs += (beta * float(rec.Hg.dot(s))) * rec.Hg
     return k, s, hs
 
 
@@ -230,9 +230,9 @@ def augment(records: Sequence[HistoryRecord], s_final: Optional[np.ndarray] = No
     if not K:
         return np.zeros(0), s.copy()
     if final_operator is None:
-        column = (K, s, history[-1].H @ s)
+        column = (K, s, history[-1].H.dot(s))
     else:
-        column = _column(history, K, s, final_operator @ s)
+        column = _column(history, K, s, final_operator.dot(s))
     mus, S = _sweep(history, [column])
     return mus[0], S[0]
 
@@ -278,7 +278,7 @@ class Checkpoint:
                 raise ValueError(f"the min-width start at {k} needs the state "
                                  f"after {k} records")
             _, d = top_eigenpair(-state.H)
-            hd = state.H @ d
+            hd = state.H.dot(d)
             return cls(k, pathway, (_column(history, k, d, hd.copy()),
                                     _column(history, k, -d, -hd)),
                        np.zeros(k), 2.0 * avg_radius(state))

@@ -56,7 +56,7 @@ def nonneg_sqrt(value: float, scale: float = 1.0, context: str = "") -> float:
 def dual_norm(H: np.ndarray, s: np.ndarray) -> float:
     """Dual norm ``sqrt(s . H s)`` of a functional ``s`` given the inverse
     operator ``H`` directly.  Zero iff ``s`` is zero (for PD ``H``)."""
-    rad = float(s @ (H @ s))
+    rad = float(s.dot(H.dot(s)))
     scale = float(np.abs(s).max(initial=0.0)) ** 2 * float(np.abs(H).max(initial=1.0))
     return nonneg_sqrt(rad, scale, "in dual_norm")
 
@@ -66,7 +66,7 @@ def spd_inverse(H: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(symmetrize(H))
     eye = np.eye(H.shape[0])
     Linv = np.linalg.solve(L, eye)
-    return symmetrize(Linv.T @ Linv)
+    return symmetrize(Linv.T.dot(Linv))
 
 
 def top_eigenpair(G: np.ndarray) -> tuple[float, np.ndarray]:

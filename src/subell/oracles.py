@@ -75,7 +75,7 @@ class Ball:
         """
         g = x - self.center
         # sqrt(g.g) is np.linalg.norm(g) bit for bit, without its overhead
-        if math.sqrt(float(g @ g)) < self.radius:
+        if math.sqrt(float(g.dot(g))) < self.radius:
             return None
         return OracleResponse(g, False)
 
@@ -88,7 +88,8 @@ class Ball:
         return 2.0 * self.radius
 
     def max_distance_from(self, x0: np.ndarray) -> float:
-        return float(np.linalg.norm(self.center - x0)) + self.radius
+        d = _square_finite(x0 - self.center, "x0 - set.center", "|x0 - set.center|")
+        return float(np.linalg.norm(d)) + self.radius
 
     def contains(self, x: np.ndarray) -> bool:
         return float(np.linalg.norm(x - self.center)) <= self.radius + LOAD_TOL
@@ -125,6 +126,7 @@ class Box:
     def max_distance_from(self, x0: np.ndarray) -> float:
         # farthest corner, coordinate by coordinate
         d = np.maximum(np.abs(self.lower - x0), np.abs(self.upper - x0))
+        _square_finite(d, "x0 - farthest set corner", "|x0 - corner|")
         return float(np.linalg.norm(d))
 
     def contains(self, x: np.ndarray) -> bool:
@@ -171,9 +173,11 @@ class BallProduct:
         return 2.0 * float(np.hypot(self.radius_u, self.radius_v))
 
     def max_distance_from(self, x0: np.ndarray) -> float:
-        du = np.linalg.norm(self.center_u - x0[: self.dim_u]) + self.radius_u
-        dv = np.linalg.norm(self.center_v - x0[self.dim_u:]) + self.radius_v
-        return float(np.hypot(du, dv))
+        u, v = self.split(x0)
+        du = _square_finite(u - self.center_u, "x0 - set.centers[0]", "|u0 - center|")
+        dv = _square_finite(v - self.center_v, "x0 - set.centers[1]", "|v0 - center|")
+        return float(np.hypot(np.linalg.norm(du) + self.radius_u,
+                              np.linalg.norm(dv) + self.radius_v))
 
     def contains(self, x: np.ndarray) -> bool:
         u, v = self.split(x)
@@ -197,7 +201,7 @@ class MaxAffine:
     def value_and_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """f(x) and the first maximizing row of ``A`` itself, from one product
         A x: the smallest-index tie-break keeps runs deterministic."""
-        v = self.A @ x + self.offsets
+        v = self.A.dot(x) + self.offsets
         j = int(v.argmax())
         return float(v[j]), self.A[j]
 
@@ -214,8 +218,8 @@ class ConvexQuadratic:
 
     def value_and_subgrad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """f(x) and the gradient P x + q, from one product P x."""
-        px = self.P @ x
-        return 0.5 * float(x @ px) + float(self.q @ x), px + self.q
+        px = self.P.dot(x)
+        return 0.5 * float(x.dot(px)) + float(self.q.dot(x)), px + self.q
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,7 @@ class BilinearSaddle:
     def field(self, x: np.ndarray) -> np.ndarray:
         """The stacked vector ``(f_u, -f_v) = (Mv, -M^T u)``."""
         u, v = x[: self.dim_u], x[self.dim_u:]
-        return np.concatenate([self.M @ v, -(self.M.T @ u)])
+        return np.concatenate([self.M.dot(v), -self.M.T.dot(u)])
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ class MonotoneAffineField:
     q: np.ndarray
 
     def field(self, x: np.ndarray) -> np.ndarray:
-        return self.M @ x + self.q
+        return self.M.dot(x) + self.q
 
 
 KIND_MAX_AFFINE = "max-of-affine"
@@ -308,8 +312,8 @@ class Problem:
         fs = self.feasible
         u, v = fs.split(x)
         M = self.objective.M
-        phi = float(u @ (M @ fs.center_v)) + fs.radius_v * float(np.linalg.norm(M.T @ u))
-        psi = float(fs.center_u @ (M @ v)) - fs.radius_u * float(np.linalg.norm(M @ v))
+        phi = float(u.dot(M.dot(fs.center_v))) + fs.radius_v * float(np.linalg.norm(M.T.dot(u)))
+        psi = float(fs.center_u.dot(M.dot(v))) - fs.radius_u * float(np.linalg.norm(M.dot(v)))
         return phi - psi
 
 
@@ -480,6 +484,10 @@ def _problem_from_dict(d: dict) -> Problem:
     V = _num(d["V"], "V") if "V" in d else _default_variation_bound(kind, objective, feasible, x0, R)
     if not 0 <= V < math.inf:
         raise ProblemFormatError(f"V = {V:g} must be finite and nonnegative")
+    if kind == KIND_QUADRATIC:
+        # the step forms g.Hg = |P x0 + q|^2 first; checked after the
+        # convexity test and V, whose messages a huge P meets first
+        _square_finite(objective.P, "P row", "|row|")
 
     xstar = _vec(d["xstar"], dim, "xstar") if d.get("xstar") is not None else None
     if xstar is not None and not feasible.contains(xstar):

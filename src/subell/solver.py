@@ -21,7 +21,10 @@ semicertificate (``alpha = 0, theta = sqrt(2) - 1``), and the combined
 subgradient-ellipsoid method (``theta = 2^(1/3) - 1``).
 
 Everything per iteration costs O(n^2): two matrix-vector products plus a
-rank-one update.  The per-step history recorded here is exactly what the
+rank-one update.  Every product is an ``ndarray.dot``, not ``@``: both call
+the same BLAS kernel and give the same bits, but ``@`` first pays the
+matmul gufunc's dispatch, 0.4 to 1 us per call, a sizable share of a
+step at small n.  The per-step history recorded here is exactly what the
 certificate backward pass (module ``certificates``) needs; it holds O(n)
 numbers per step and no operator.  A run keeps it stacked, as a
 ``History``: the n-wide rows and the scalars of ``HistoryRecord`` per
@@ -414,13 +417,13 @@ def _localizer(state: SolverState) -> tuple[np.ndarray, float, float, float]:
     z = x + Hc and D = R^2 - 2(sigma - <c, x>) + <c, Hc>.
     """
     c = state.c
-    hc = state.H @ c
+    hc = state.H.dot(c)
     z = state.x + hc
-    cHc = float(c @ hc)
-    D = state.Rsq - 2.0 * (state.sigma - float(c @ state.x)) + cHc
+    cHc = float(c.dot(hc))
+    D = state.Rsq - 2.0 * (state.sigma - float(c.dot(state.x))) + cHc
     if not 0.0 <= D < math.inf:
         D = nonneg(D, state.Rsq, f"in the localizer radius D at k = {state.k}")
-    return z, D, cHc, float(c @ z)
+    return z, D, cHc, float(c.dot(z))
 
 
 def localizer_geometry(state: SolverState) -> tuple[np.ndarray, float]:
@@ -467,7 +470,7 @@ def _advance(state: SolverState, g: np.ndarray, hg: np.ndarray, a: float,
         _rank_one_update(state.H, hg, b, denom),
         state.Rsq + shift ** 2 * gHg / denom,
         state.c + a * g,
-        state.sigma + a * float(g @ state.x),
+        state.sigma + a * float(g.dot(state.x)),
         state.Gamma + a * gnorm,
         state.R0,
         state.log_det_H - math.log1p(b * gHg),
@@ -493,10 +496,10 @@ def step(state: SolverState, response: OracleResponse,
     """
     g = response.g.astype(float)
     z, D, cHc, cz = _localizer(state)
-    hg = state.H @ g
-    t = float(g @ hg)
-    cHg = float(state.c @ hg)
-    U = gxz = float(g @ (state.x - z))
+    hg = state.H.dot(g)
+    t = float(g.dot(hg))
+    cHg = float(state.c.dot(hg))
+    U = gxz = float(g.dot(state.x - z))
     if D != 0.0:
         aHa, beta = D * cHc, state.sigma - cz
         try:
@@ -505,7 +508,7 @@ def step(state: SolverState, response: OracleResponse,
             raise type(exc)(f"{exc} in U at k = {state.k}") from exc
     # equals np.linalg.norm(g) bit for bit: norm of a 1-D float array is
     # sqrt(g.dot(g))
-    gnorm = math.sqrt(float(g @ g))
+    gnorm = math.sqrt(float(g.dot(g)))
 
     ending = None
     if U <= config.delta_term * gnorm:
@@ -539,7 +542,7 @@ def sliding_gap(state: SolverState, *, localizer=None) -> float:
     _, D, cHc, cz = localizer if localizer is not None else _localizer(state)
     # the guard's scale matters only when round-off made <c, Hc> negative
     cn = math.sqrt(cHc) if cHc >= 0.0 else nonneg_sqrt(
-        cHc, float(state.c @ state.c), "in the sliding gap")
+        cHc, float(state.c.dot(state.c)), "in the sliding gap")
     return (state.sigma - cz + math.sqrt(D) * cn) / state.Gamma
 
 

@@ -190,8 +190,8 @@ def support_value_xi(H: np.ndarray, s: np.ndarray, cut: HalfspaceCut) -> float:
     single-cut multiplier; strong duality holds under the Slater condition.
     """
     a, beta = cut.normal, cut.offset
-    Hs, aHa = H @ s, float(a @ (H @ a))
-    return _xi_gram(float(s @ Hs), float(a @ Hs), aHa, _cut_norm(aHa, beta), beta)
+    Hs, aHa = H.dot(s), float(a.dot(H.dot(a)))
+    return _xi_gram(float(s.dot(Hs)), float(a.dot(Hs)), aHa, _cut_norm(aHa, beta), beta)
 
 
 def dual_multipliers(H: np.ndarray, s: np.ndarray, cut1: HalfspaceCut,
@@ -205,7 +205,7 @@ def dual_multipliers(H: np.ndarray, s: np.ndarray, cut1: HalfspaceCut,
     two-constraint stationary point.
     """
     a1, a2 = cut1.normal, cut2.normal
-    Hs, Ha1, Ha2 = H @ s, H @ a1, H @ a2
-    pair = _cut_pair(float(a1 @ Ha1), float(a2 @ Ha2), float(a1 @ Ha2),
+    Hs, Ha1, Ha2 = H.dot(s), H.dot(a1), H.dot(a2)
+    pair = _cut_pair(float(a1.dot(Ha1)), float(a2.dot(Ha2)), float(a1.dot(Ha2)),
                      cut1.offset, cut2.offset)
-    return _direction_pair(float(s @ Hs), float(a1 @ Hs), float(a2 @ Hs), pair)
+    return _direction_pair(float(s.dot(Hs)), float(a1.dot(Hs)), float(a2.dot(Hs)), pair)

@@ -338,6 +338,9 @@ class TestProblemFiles:
         # convex, but the default V = sup|g| diam(Q) overflows
         ("quadratic-over-ball", {"P": [[1.7e308, 0], [0, 1]], "q": [0, 0]}, {},
          "V = inf"),
+        # convex, and V is given, but the step's g.Hg = |P x0|^2 would overflow
+        ("quadratic-over-ball", {"P": [[1.7e308, 0], [0, 1]], "q": [0, 0]}, {"V": 1},
+         "P row 0 is too large"),
         # the step's g.Hg = |a|^2 would overflow, whether V is given or not
         ("max-of-affine", HUGE_ROWS, {"V": 1}, "objective row 0 is too large"),
         ("max-of-affine", HUGE_ROWS, {}, "objective row 0 is too large"),
@@ -357,7 +360,8 @@ class TestProblemFiles:
         ("vi-affine-monotone", {"M": [[1, 0], [0, 1]], "q": [0, -1e308]}, {"V": 1},
          "q is too large"),
     ], ids=["vi-M-overflows", "quadratic-P-overflows", "quadratic-indefinite-huge",
-            "quadratic-V-overflows", "max-affine-row-overflows-with-V",
+            "quadratic-V-overflows", "quadratic-P-row-overflows-with-V",
+            "max-affine-row-overflows-with-V",
             "max-affine-row-overflows", "saddle-M-row-overflows",
             "saddle-M-column-overflows", "vi-M-row-overflows", "vi-q-overflows"])
     def test_overflowing_objective_exits_2(self, tmp_path, capsys, kind, payload,
@@ -374,21 +378,34 @@ class TestProblemFiles:
         assert err.startswith("error: ") and match in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("key,value,match", [
-        ("x0", [1e308, 0], "x0 is too large: |x0|^2"),
-        ("x0", [0, -1e308], "x0 is too large"),
-        ("set", {"type": "ball", "center": [1e308, 0], "radius": 0.5},
+    @pytest.mark.parametrize("fields,match", [
+        ({"x0": [1e308, 0]}, "x0 is too large: |x0|^2"),
+        ({"x0": [0, -1e308]}, "x0 is too large"),
+        ({"set": {"type": "ball", "center": [1e308, 0], "radius": 0.5}},
          "set.center is too large"),
-        ("set", {"type": "box", "lower": [-0.5, -1e308], "upper": [0.5, 0.5]},
+        ({"set": {"type": "box", "lower": [-0.5, -1e308], "upper": [0.5, 0.5]}},
          "set.lower is too large"),
-        ("xstar", [-1e308, 0], "xstar is too large"),
-    ], ids=["x0", "x0-negative", "ball-center", "box-lower", "xstar"])
-    def test_overflowing_point_exits_2(self, tmp_path, capsys, key, value, match):
-        # each point's squared norm is checked where it is read, so the
-        # message names the field, and no distance overflows on the way
+        ({"xstar": [-1e308, 0]}, "xstar is too large"),
+        # both points are finite in square, their distance is not
+        ({"x0": [1.3e154, 0], "set": {"type": "ball", "center": [-1.3e154, 0],
+                                      "radius": 0.5}},
+         "x0 - set.center is too large: |x0 - set.center|^2"),
+        ({"x0": [1.3e154, 0], "set": {"type": "box", "lower": [-1.3e154, -0.5],
+                                      "upper": [-1.2e154, 0.5]}},
+         "x0 - farthest set corner is too large: |x0 - corner|^2"),
+        ({"kind": "saddle-bilinear", "objective": {"M": [[1.0]]}, "x0": [1.3e154, 0],
+          "set": {"type": "ball-product", "centers": [[-1.3e154], [0]],
+                  "radii": [0.5, 0.5]}},
+         "x0 - set.centers[0] is too large: |u0 - center|^2"),
+    ], ids=["x0", "x0-negative", "ball-center", "box-lower", "xstar",
+            "x0-to-ball-center", "x0-to-box-corner", "x0-to-ball-product-center"])
+    def test_overflowing_point_exits_2(self, tmp_path, capsys, fields, match):
+        # each point's squared norm is checked where it is read, and each
+        # distance's before its norm, so the message names the fields, and
+        # no distance overflows on the way
         d = {"kind": "max-of-affine", "dim": 2, "x0": [0.1, 0.0], "R": 1.0,
              "set": {"type": "ball", "center": [0, 0], "radius": 0.5},
-             "objective": {"rows": [{"a": [1, 0], "b": 0.0}]}, key: value}
+             "objective": {"rows": [{"a": [1, 0], "b": 0.0}]}, **fields}
         with pytest.raises(ProblemFormatError, match=re.escape(match)):
             problem_from_dict(d)
         path = tmp_path / "p.json"

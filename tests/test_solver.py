@@ -858,6 +858,26 @@ class TestLeanHistory:
                 assert all(type(value) is float for value in got)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_product_equals_its_matmul_form(self, family, variant):
+        # the step forms its products with ndarray.dot, for less call
+        # overhead than the @ operator; both reach the same BLAS kernel, so
+        # each recorded product is the @ product bit for bit, and a numpy
+        # whose two paths part fails here
+        prob = FAMILIES[family](np.random.default_rng(55))
+        config = StrategyConfig.for_variant(variant, prob.dim,
+                                            schedule=Schedule("decay"))
+        records = run(prob, config, 40).records
+        for k in sorted({0, 1, 20, len(records) - 1}):
+            rec = records[k]
+            H, g, c = rec.H, rec.g, rec.c
+            assert np.array_equal(H @ g, rec.Hg)
+            want = {"gHg": g @ rec.Hg, "cHc": c @ (H @ c), "cz": c @ rec.z,
+                    "cHg": c @ rec.Hg, "gxz": g @ (rec.x - rec.z)}
+            for name, value in want.items():
+                assert getattr(rec, name).hex() == float(value).hex(), (k, name)
+
     def test_dropped_result_is_freed_without_the_cycle_collector(self):
         prob = max_affine_ball(np.random.default_rng(51), 30)
         config = StrategyConfig.for_variant("subgrad-ellipsoid", 30,

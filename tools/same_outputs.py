@@ -7,9 +7,10 @@ Usage::
 Writes problem 0 of the benchmark's seed 1 at n = 10, 30, 60, 100 and 400
 (``perfbench/generate.py`` of this checkout, imported without writing
 bytecode), a small bilinear saddle problem, a small affine monotone
-variational inequality and a max-of-affine problem over a box, each drawn
-from a fixed seed, and a small max-of-affine problem with a zero row.  It
-runs the same ten ``subell`` commands against the ``src/`` of each tree
+variational inequality, a max-of-affine problem over a box and a convex
+quadratic over a ball, each drawn from a fixed seed, and a small
+max-of-affine problem with a zero row.  It runs the same eleven ``subell``
+commands against the ``src/`` of each tree
 with one BLAS thread, and compares every output file and each command's
 stdout byte for byte.  Besides the benchmark's five commands, a terminal
 ``certify`` covers the terminal certificate pathway, a saddle ``solve``
@@ -19,7 +20,8 @@ which the benchmark's max-of-affine problems do not show, a box
 ``certify`` covers the box's separator, whose minimizer lies outside the
 box so that many steps separate, and a ``certify`` on the problem with a
 zero row covers a run that ends on a zero subgradient, with preliminary
-checkpoints before its terminal one.  Only the ``wall_time_us`` column of
+checkpoints before its terminal one, and a quadratic ``solve`` covers the
+quadratic oracle's products.  Only the ``wall_time_us`` column of
 trace CSVs and the ``problem:`` line of summaries are left out of the
 comparison.  Prints ``same`` or ``DIFF`` per output and exits 1 on any
 DIFF.  Under a DIFF in a certificate file (``.certs.json`` or
@@ -68,6 +70,8 @@ COMMANDS = (
                                   "--iters", "400", "--cadence", "50")),
     ("certify-zero-n4", "zero-n4", ("certify", "--variant", "ellipsoid-cert",
                                     "--iters", "200", "--cadence", "2")),
+    ("solve-quadratic-n8", "quadratic-n8", ("solve", "--variant", "subgrad-ellipsoid",
+                                            "--iters", "400")),
 )
 
 
@@ -149,6 +153,23 @@ def _zero_problem() -> dict:
     }
 
 
+def _quadratic_problem(n: int = 8) -> dict:
+    """Description of x.Px/2 + q.x, P positive definite, over the ball of
+    radius 0.5 at 0, started at the center; the unconstrained minimizer
+    -P^-1 q lies outside the ball, so steps both answer and separate."""
+    rng = np.random.default_rng([SEED, n, 2])
+    B = rng.standard_normal((n, n))
+    return {
+        "kind": "quadratic-over-ball",
+        "dim": n,
+        "x0": [0.0] * n,
+        "R": 1.0,
+        "set": {"type": "ball", "center": [0.0] * n, "radius": 0.5},
+        "objective": {"P": (B @ B.T / n + 0.1 * np.eye(n)).tolist(),
+                      "q": rng.standard_normal(n).tolist()},
+    }
+
+
 def _problem(name: str, generate) -> dict:
     if name == "saddle-n6":
         return _saddle_problem()
@@ -158,6 +179,8 @@ def _problem(name: str, generate) -> dict:
         return _box_problem()
     if name == "zero-n4":
         return _zero_problem()
+    if name == "quadratic-n8":
+        return _quadratic_problem()
     return generate.max_affine_ball(SEED, int(name.rsplit("-n", 1)[1]), 0)
 
 
